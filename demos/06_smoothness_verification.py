@@ -5,10 +5,10 @@ Two pattern families classify when orbit closures on the flag variety
 are (rationally) smooth.  The point verified computationally: over the
 relevant sets, avoidance in the deletion orders coincides with plain
 classical avoidance, so the geometric criteria can be read off from
-subsequences alone.  The sweep below goes to size 10; the full
-reproduction to size 16 runs for hours behind the long-run flag:
+subsequences alone.  The sweeps below go to sizes 10 and 12; the full
+reproduction to size 16 is
 
-    invpat verify-mcgovern --long-run --workers 8 --checkpoint sweep.txt
+    invpat verify-mcgovern --to 16
 """
 from invpat.core import format_perm, parse_perm
 from invpat.mcgovern import (PI, PI_PRIME, rational_smoothness_fpf,
@@ -29,6 +29,6 @@ for rho in ("21", "351624"):
     print(f"{format_perm(r):>8}: matching rationally smooth={rational_smoothness_fpf(r)}")
 
 print()
-print(verify_part1(10, workers=2).to_text())
+print(verify_part1(10).to_text())
 print()
-print(verify_part2(12, workers=2).to_text())
+print(verify_part2(12).to_text())

@@ -6,14 +6,16 @@ Subcommands:
 - ``count``: avoider counts by size, optionally against the closed form
   and refined by fixed points.
 - ``basis``: minimal violators of classical patterns in a deletion order.
-- ``verify-mcgovern``: the equality sweeps, with workers and checkpoints.
+- ``verify-mcgovern``: the equality sweeps over the deletion-order
+  avoiders; size 16 is ``--to 16``.
 - ``bijection``: map an involution to its even-level path and back.
 - ``identities``: the counting identities (block-pattern symmetry,
   fixed-point factorization, three-term recurrence, continued fraction).
 
 Everything is exhaustive and deterministic; exit status 0 iff all
-requested checks pass.  ``--format rows`` prints tab-separated rows
-with a header instead of aligned text.
+requested checks pass, and 2 on bad arguments such as a ``--to`` below
+1.  ``--format rows`` prints tab-separated rows with a header instead
+of aligned text.
 """
 from __future__ import annotations
 
@@ -110,20 +112,17 @@ def cmd_basis(args) -> int:
 def cmd_verify_mcgovern(args) -> int:
     from .mcgovern import verify_part1, verify_part2
 
-    to = args.to
-    if args.long_run and to < 16:
-        to = 16
     progress = None
     if args.progress:
-        def progress(job, row):
-            part, n, first = job
-            print(f"  done part={part} n={n} first={first} "
-                  f"({row.total} elements)", file=sys.stderr)
+        def progress(part, row, members, took, elapsed):
+            rate = members / took if took > 0 else float("inf")
+            print(f"  part={part} n={row.n} members={members} "
+                  f"classical={row.classical_avoiders} elapsed={elapsed:.2f}s "
+                  f"rate={rate:.0f} members/s", file=sys.stderr)
     status = 0
     for part in ([1, 2] if args.part == 0 else [args.part]):
         fn = verify_part1 if part == 1 else verify_part2
-        report = fn(to, workers=args.workers, checkpoint=args.checkpoint,
-                    progress=progress)
+        report = fn(args.to, progress=progress)
         print(report.to_text())
         if not report.equal:
             status = 1
@@ -196,6 +195,14 @@ def cmd_identities(args) -> int:
     return 1 if failed else 0
 
 
+def positive_int(text: str) -> int:
+    """A ``--to`` value: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="invpat", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="whitespace-separated patterns; empty string for none")
     count.add_argument("--patterns-file", default=None)
     count.add_argument("--mode", default="I", help="classical, I, Iprime or F")
-    count.add_argument("--to", type=int, required=True)
+    count.add_argument("--to", type=positive_int, required=True)
     count.add_argument("--formula", action="store_true",
                        help="compare against the closed form")
     count.add_argument("--refine-fixed-points", action="store_true")
@@ -224,13 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify-mcgovern", help="equality sweeps")
     ver.add_argument("--part", type=int, choices=(0, 1, 2), default=0,
                      help="1, 2 or 0 for both")
-    ver.add_argument("--to", type=int, default=12)
-    ver.add_argument("--long-run", action="store_true",
-                     help="extend to size 16 (multi-hour; checkpoint advised)")
-    ver.add_argument("--workers", type=int, default=1)
-    ver.add_argument("--checkpoint", default=None,
-                     help="plain-text block marker file, resumable")
-    ver.add_argument("--progress", action="store_true")
+    ver.add_argument("--to", type=positive_int, default=12)
+    ver.add_argument("--progress", action="store_true",
+                     help="one line per size on stderr")
     ver.set_defaults(fn=cmd_verify_mcgovern)
 
     bij = sub.add_parser("bijection", help="involution <-> even-level path")
@@ -253,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="e^x convolution identity for these matching patterns")
     idn.add_argument("--recurrence", action="store_true")
     idn.add_argument("--dseries", action="store_true")
-    idn.add_argument("--to", type=int, default=10)
+    idn.add_argument("--to", type=positive_int, default=10)
     idn.set_defaults(fn=cmd_identities)
     return top
 

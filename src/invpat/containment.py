@@ -19,6 +19,10 @@ and (in ``I`` mode) 2-cycles to squash into fixed points, subject to no
 other chosen element sitting strictly inside a squashed cycle's
 interval.  The two agree on every pair with haystack size <= 8 in every
 mode; the test suite enforces this exhaustively.
+
+Classical containment compiles each pattern once into the value window
+of each step (:func:`_compile_classical`) and places it depth-first;
+the tests compare it with a scan of every subsequence.
 """
 from __future__ import annotations
 
@@ -57,6 +61,55 @@ def check_for_mode(pi: Perm, mode: Mode) -> Perm:
     return check_involution(pi)
 
 
+def _compile_classical(pattern: Perm) -> tuple[tuple[int, int, int, int], ...]:
+    """
+    Per pattern position k, the window its haystack value must fall in.
+
+    Placement runs left to right, so the placed pattern values just below
+    and just above ``pattern[k]`` are fixed when the pattern is compiled.
+    Step k is ``(lo, dlo, hi, dhi)``: the positions of those neighbours and
+    their value gaps to ``pattern[k]``.  Position ``m`` stands for a
+    virtual value 0 and ``m + 1`` for ``m + 1``; the search stores the
+    haystack's 0 and n + 1 there.  A haystack value w fits iff
+    ``placed[lo] + dlo <= w <= placed[hi] - dhi``: the values the pattern
+    puts strictly between the neighbours need room in the haystack too.
+    """
+    m = len(pattern)
+    ext = tuple(pattern) + (0, m + 1)
+    steps = []
+    for k, v in enumerate(pattern):
+        lo = max((j for j in (*range(k), m) if ext[j] < v), key=ext.__getitem__)
+        hi = min((j for j in (*range(k), m + 1) if ext[j] > v), key=ext.__getitem__)
+        steps.append((lo, v - ext[lo], hi, ext[hi] - v))
+    return tuple(steps)
+
+
+def _search_classical(haystack: Perm, steps) -> bool:
+    """Depth-first placement of a compiled pattern in haystack."""
+    m, n = len(steps), len(haystack)
+    if m > n:
+        return False
+    placed = [0] * (m + 2)
+    placed[m + 1] = n + 1
+    last = m - 1
+
+    def extend(k: int, start: int) -> bool:
+        lo, dlo, hi, dhi = steps[k]
+        a = placed[lo] + dlo
+        b = placed[hi] - dhi
+        if k == last:
+            return any(a <= w <= b for w in haystack[start:])
+        for p in range(start, n - last + k):
+            w = haystack[p]
+            if a <= w <= b:
+                placed[k] = w
+                if extend(k + 1, p + 1):
+                    return True
+        return False
+
+    return m == 0 or extend(0, 0)
+
+
 def contains_classical(haystack: Perm, pattern: Perm) -> bool:
     """
     True if some subsequence of haystack standardizes to pattern.
@@ -66,42 +119,7 @@ def contains_classical(haystack: Perm, pattern: Perm) -> bool:
     >>> contains_classical((3, 2, 1), (1, 2))
     False
     """
-    m, n = len(pattern), len(haystack)
-    if m > n:
-        return False
-    if m == 0:
-        return True
-    # matched[r] = haystack value standing in for pattern value r+1
-    matched = [0] * (m + 1)
-    pat_inv = [0] * (m + 1)
-    for i, v in enumerate(pattern):
-        pat_inv[v] = i
-
-    def extend(k: int, start: int) -> bool:
-        if k == m:
-            return True
-        v = pattern[k]
-        # haystack values must fall strictly between the images of the
-        # pattern values adjacent to v among those already placed
-        lo = 0
-        for r in range(v - 1, 0, -1):
-            if pat_inv[r] < k:
-                lo = matched[r]
-                break
-        hi = n + 1
-        for r in range(v + 1, m + 1):
-            if pat_inv[r] < k:
-                hi = matched[r]
-                break
-        for p in range(start, n - (m - k) + 1):
-            w = haystack[p]
-            if lo < w < hi:
-                matched[v] = w
-                if extend(k + 1, p + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
+    return _search_classical(haystack, _compile_classical(pattern))
 
 
 def delete_positions(tau: Perm, gone: tuple[int, ...]) -> Perm:
@@ -346,13 +364,13 @@ class PatternChecker:
         self.mode = mode
         self.patterns = tuple(sorted(patterns, key=lambda p: (len(p), p)))
         if mode is Mode.CLASSICAL:
-            self._compiled = None
+            self._compiled = [_compile_classical(p) for p in self.patterns]
         else:
             self._compiled = [(_compile_pattern(p, mode), len(p)) for p in self.patterns]
 
     def contains_any(self, tau: Perm) -> bool:
-        if self._compiled is None:
-            return any(contains_classical(tau, p) for p in self.patterns)
+        if self.mode is Mode.CLASSICAL:
+            return any(_search_classical(tau, steps) for steps in self._compiled)
         tcyc = two_cycles(tau)
         tfix = fixed_points(tau)
         allow_fix = self.mode is not Mode.F

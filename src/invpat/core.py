@@ -14,8 +14,8 @@ Conventions used throughout the package:
   counts as one.
 
 Generators emit words in lexicographic one-line order and can be
-restricted to a fixed first value, which is how sweeps are partitioned
-across workers and checkpoints.
+restricted to a fixed first value, which splits a size into disjoint
+blocks.
 """
 from __future__ import annotations
 
@@ -177,7 +177,7 @@ def generate_involutions(n: int, first_value: int | None = None) -> Iterator[Per
     All involutions of size n in lexicographic one-line order.
 
     With ``first_value=v`` only the words with tau(1) = v are produced,
-    which partitions the full run into n restartable blocks.
+    which partitions the full run into n disjoint blocks.
 
     >>> list(generate_involutions(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]

@@ -9,23 +9,26 @@ relation order, and classically all coincide (checked size by size);
 on matchings the cycle-respecting and classical orders coincide for the
 symplectic set.
 
-A sweep visits every involution (or matching) of each size.  Avoiders
-of the set in the classical order avoid it in every coarser order too,
-so only classical violators need the deletion-order check, and a
-counterexample is precisely a classical violator avoiding the set in
-the deletion order.  Sweeps are partitioned by the first one-line value
-into restartable blocks: workers process blocks in parallel and a
-checkpoint file records finished blocks, one line each, so the size-16
-run can resume.
+Every deletion relation removes entries, so classical avoiders of a
+set avoid it in every deletion order: classical avoiders are contained
+in the I-avoiders, which are contained in the I'-avoiders (and, for
+matchings, in the F-avoiders).  A sweep therefore visits only the
+deletion-order avoiders, grown size by size with a generating tree
+(:func:`_avoider_levels`), and runs the classical check on those; a
+counterexample is an avoider that contains a pattern classically.  The
+totals per size come from the closed counts, not from a scan.
+:func:`_brute_force_row` scans every element of one size instead and
+is the oracle the tests compare the sweep against.
 """
 from __future__ import annotations
 
-import os
+import time
 from dataclasses import dataclass, field
 
-from .containment import Mode, PatternChecker
+from .containment import Mode, PatternChecker, _iter_images
 from .core import (Perm, check_fpf, check_involution, generate_fpf,
                    generate_involutions, odd_fix_gap, parse_perm)
+from .enumeration import involution_count, matching_count
 
 # rationally smooth symplectic orbits: matchings avoiding these
 PI_PRIME: tuple[Perm, ...] = tuple(parse_perm(s) for s in """
@@ -85,17 +88,6 @@ class SizeRow:
     def equal(self) -> bool:
         return self.extra_coarse == 0 and self.extra_full == 0
 
-    def merge(self, other: "SizeRow") -> None:
-        assert self.n == other.n
-        self.total += other.total
-        self.classical_avoiders += other.classical_avoiders
-        self.extra_coarse += other.extra_coarse
-        self.extra_full += other.extra_full
-        if self.counterexample is None:
-            self.counterexample = other.counterexample
-        elif other.counterexample is not None:
-            self.counterexample = min(self.counterexample, other.counterexample)
-
 
 @dataclass
 class SweepReport:
@@ -131,15 +123,83 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep_block(part: int, n: int, first: int) -> SizeRow:
-    """Scan one first-value block of one size; the unit of parallel work."""
+def _avoider_levels(patterns, mode: Mode, max_size: int):
+    """
+    Yield ``(n, members)`` for n = 0..max_size: the involutions (matchings
+    in ``F`` mode) of size n avoiding ``patterns`` in the deletion order
+    ``mode``.
+
+    Each involution of size n is grown from exactly one smaller one, the
+    one left after deleting the cycle through position n: a size n-1
+    element with the fixed point n appended, or a size n-2 element with
+    the 2-cycle (p, n) inserted.  Avoiders are closed under deletion, so
+    only avoiders need growing, and a candidate is kept iff it is not a
+    pattern and every one-step image is a member (the closure rule of
+    ``classes._sieve_members``).  Only the two previous levels are held.
+
+    >>> [len(members) for _, members in _avoider_levels([(2, 1)], Mode.IPRIME, 4)]
+    [1, 1, 1, 1, 1]
+    """
+    patterns = frozenset(patterns)
+    older: set[Perm] = set()
+    last: set[Perm] = {()} - patterns
+    yield 0, last
+    for n in range(1, max_size + 1):
+        level: set[Perm] = set()
+
+        def keep(tau: Perm) -> None:
+            if tau not in patterns and all(img in last or img in older
+                                           for img in _iter_images(tau, mode)):
+                level.add(tau)
+
+        if mode is not Mode.F:
+            for sigma in last:
+                keep(sigma + (n,))
+        for sigma in older:
+            for p in range(1, n):
+                shifted = tuple(w + (w >= p) for w in sigma)
+                keep(shifted[:p - 1] + (n,) + shifted[p - 1:] + (p,))
+        older, last = last, level
+        yield n, level
+
+
+def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
+    if max_size < 1:
+        raise ValueError("max_size must be positive")
     if part == 1:
-        gen = generate_involutions(n, first_value=first)
+        patterns, mode, count = PI_SMOOTH, Mode.IPRIME, involution_count
+        full = PatternChecker(PI_SMOOTH, Mode.I)
+    else:
+        patterns, mode, count = PI_PRIME, Mode.F, matching_count
+        full = None
+    classical = PatternChecker(patterns, Mode.CLASSICAL)
+    report = SweepReport(part, max_size)
+    start = tick = time.perf_counter()
+    for n, members in _avoider_levels(patterns, mode, max_size):
+        if n == 0 or (part == 2 and n % 2):
+            continue
+        containers = [tau for tau in members if classical.contains_any(tau)]
+        missed_full = (len(containers) if full is None
+                       else sum(not full.contains_any(tau) for tau in containers))
+        row = SizeRow(n, count(n), len(members) - len(containers), len(containers),
+                      missed_full, min(containers, default=None))
+        report.rows[n] = row
+        if progress:
+            now = time.perf_counter()
+            progress(part, row, len(members), now - tick, now - start)
+            tick = now
+    return report
+
+
+def _brute_force_row(part: int, n: int) -> SizeRow:
+    """One sweep row by scanning every element of size n: the test oracle."""
+    if part == 1:
+        gen = generate_involutions(n)
         classical = PatternChecker(PI_SMOOTH, Mode.CLASSICAL)
         coarse = PatternChecker(PI_SMOOTH, Mode.IPRIME)
         full = PatternChecker(PI_SMOOTH, Mode.I)
     else:
-        gen = generate_fpf(n, first_value=first)
+        gen = generate_fpf(n)
         classical = PatternChecker(PI_PRIME, Mode.CLASSICAL)
         coarse = PatternChecker(PI_PRIME, Mode.F)
         full = None
@@ -149,113 +209,32 @@ def _sweep_block(part: int, n: int, first: int) -> SizeRow:
         if not classical.contains_any(tau):
             row.classical_avoiders += 1
             continue
-        if not coarse.contains_any(tau):
-            row.extra_coarse += 1
-            if full is None or not full.contains_any(tau):
-                row.extra_full += 1
-            if row.counterexample is None:
-                row.counterexample = tau
-        elif full is not None and not full.contains_any(tau):
-            # cannot happen: the two-relation order refines the full one
-            row.extra_full += 1
-            if row.counterexample is None:
-                row.counterexample = tau
+        missed_coarse = not coarse.contains_any(tau)
+        missed_full = missed_coarse if full is None else not full.contains_any(tau)
+        row.extra_coarse += missed_coarse
+        row.extra_full += missed_full
+        if (missed_coarse or missed_full) and row.counterexample is None:
+            row.counterexample = tau
     return row
 
 
-def _checkpoint_lines(path: str) -> dict[tuple[int, int, int], SizeRow]:
-    done: dict[tuple[int, int, int], SizeRow] = {}
-    if not path or not os.path.exists(path):
-        return done
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) != 9 or parts[0] != "block":
-                continue
-            part, n, first = int(parts[1]), int(parts[2]), int(parts[3])
-            cex = None if parts[8] == "-" else tuple(int(v) for v in parts[8].split(","))
-            row = SizeRow(n, int(parts[4]), int(parts[5]), int(parts[6]),
-                          int(parts[7]), cex)
-            done[(part, n, first)] = row
-    return done
-
-
-def _append_checkpoint(path: str, part: int, n: int, first: int, row: SizeRow) -> None:
-    cex = "-" if row.counterexample is None else ",".join(map(str, row.counterexample))
-    with open(path, "a") as fh:
-        fh.write(f"block {part} {n} {first} {row.total} {row.classical_avoiders} "
-                 f"{row.extra_coarse} {row.extra_full} {cex}\n")
-        fh.flush()
-
-
-def _sweep_block_star(job: tuple[int, int, int]) -> SizeRow:
-    return _sweep_block(*job)
-
-
-def _run_sweep(part: int, max_size: int, workers: int, checkpoint: str | None,
-               progress=None) -> SweepReport:
-    sizes = [n for n in range(1, max_size + 1) if part == 1 or n % 2 == 0]
-    jobs: list[tuple[int, int, int]] = []
-    for n in sizes:
-        firsts = range(1, n + 1) if part == 1 else range(2, n + 1)
-        jobs.extend((part, n, first) for first in firsts)
-    done = _checkpoint_lines(checkpoint) if checkpoint else {}
-    todo = [j for j in jobs if j not in done]
-
-    results: dict[tuple[int, int, int], SizeRow] = dict(done)
-    if workers > 1 and len(todo) > 1:
-        import multiprocessing as mp
-
-        # big blocks last-first so the stragglers start early
-        order = sorted(todo, key=lambda j: -j[1])
-        with mp.Pool(workers) as pool:
-            for job, row in zip(order, pool.imap(_sweep_block_star, order, chunksize=1)):
-                results[job] = row
-                if checkpoint:
-                    _append_checkpoint(checkpoint, *job, row)
-                if progress:
-                    progress(job, row)
-    else:
-        for job in todo:
-            row = _sweep_block(*job)
-            results[job] = row
-            if checkpoint:
-                _append_checkpoint(checkpoint, *job, row)
-            if progress:
-                progress(job, row)
-
-    report = SweepReport(part, max_size)
-    for (p, n, first), row in sorted(results.items()):
-        if p != part or n > max_size:
-            continue
-        if n in report.rows:
-            report.rows[n].merge(row)
-        else:
-            report.rows[n] = SizeRow(n, row.total, row.classical_avoiders,
-                                     row.extra_coarse, row.extra_full,
-                                     row.counterexample)
-    for n in sizes:
-        report.rows.setdefault(n, SizeRow(n))
-    return report
-
-
-def verify_part1(max_size: int, workers: int = 1, checkpoint: str | None = None,
-                 progress=None) -> SweepReport:
+def verify_part1(max_size: int, progress=None) -> SweepReport:
     """
     Involutions: the augmented pattern set is avoided classically iff in
     the two-relation order iff in the full deletion order, for every
     size <= max_size.
 
+    ``progress``, if given, is called after each size as
+    ``progress(part, row, members, size_s, elapsed_s)``: the number of
+    avoiders visited, the seconds this size took and since the start.
+
     >>> verify_part1(6).equal
     True
     """
-    if max_size < 1:
-        raise ValueError("max_size must be positive")
-    return _run_sweep(1, max_size, workers, checkpoint, progress)
+    return _run_sweep(1, max_size, progress)
 
 
-def verify_part2(max_size: int, workers: int = 1, checkpoint: str | None = None,
-                 progress=None) -> SweepReport:
+def verify_part2(max_size: int, progress=None) -> SweepReport:
     """
     Matchings: the symplectic pattern set is avoided classically iff in
     the matching order, for every even size <= max_size.
@@ -263,6 +242,4 @@ def verify_part2(max_size: int, workers: int = 1, checkpoint: str | None = None,
     >>> verify_part2(6).equal
     True
     """
-    if max_size < 1:
-        raise ValueError("max_size must be positive")
-    return _run_sweep(2, max_size, workers, checkpoint, progress)
+    return _run_sweep(2, max_size, progress)

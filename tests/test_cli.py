@@ -1,3 +1,5 @@
+import pytest
+
 from invpat.cli import main
 
 
@@ -86,10 +88,39 @@ def test_basis_errors(capsys):
 
 
 def test_verify_mcgovern(capsys):
-    status, out, _ = run(capsys, "verify-mcgovern", "--part", "2", "--to", "10",
-                         "--workers", "2")
+    status, out, _ = run(capsys, "verify-mcgovern", "--part", "2", "--to", "10")
     assert status == 0
     assert "equal at all sizes <= 10" in out
+
+
+def test_verify_mcgovern_progress(capsys):
+    status, out, err = run(capsys, "verify-mcgovern", "--part", "0", "--to", "6",
+                           "--progress")
+    assert status == 0 and "equal at all sizes <= 6" in out
+    lines = err.strip().splitlines()
+    assert [line.split()[:4] for line in lines] == \
+        [[f"part={part}", f"n={n}", f"members={m}", f"classical={c}"]
+         for part, n, m, c in ((1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 4, 4),
+                               (1, 4, 8, 8), (1, 5, 18, 18), (1, 6, 36, 36),
+                               (2, 2, 1, 1), (2, 4, 3, 3), (2, 6, 14, 14))]
+    assert all("elapsed=" in line and "members/s" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--patterns", "321", "--to", "-3"],
+    ["count", "--patterns", "321", "--to", "0"],
+    ["identities", "--recurrence", "--to", "-2"],
+    ["verify-mcgovern", "--to", "0"],
+    ["verify-mcgovern", "--to", "8", "--workers", "2"],
+    ["verify-mcgovern", "--to", "8", "--checkpoint", "sweep.txt"],
+    ["verify-mcgovern", "--long-run"],
+])
+def test_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and "error" in out.err
 
 
 def test_bijection_round_trip(capsys):

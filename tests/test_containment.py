@@ -1,12 +1,13 @@
 import doctest
+from itertools import combinations, permutations
 
 import pytest
 
 import invpat.containment as containment
-from invpat.containment import (Mode, avoids_all, contains,
+from invpat.containment import (Mode, PatternChecker, avoids_all, contains,
                                 contains_classical, contains_fast,
                                 delete_positions, down_set, one_step_down)
-from invpat.core import parse_perm
+from invpat.core import generate_fpf, generate_involutions, parse_perm, standardize
 
 
 def test_doctests():
@@ -29,6 +30,34 @@ def test_contains_classical_examples():
     assert contains_classical((2, 1, 3, 5, 4), (2, 1, 4, 3))
     assert contains_classical((), ())
     assert not contains_classical((), (1,))
+
+
+def _agrees_with_oracle(haystacks, patterns, contains) -> bool:
+    """A classical containment test against every standardized subsequence."""
+    sizes = {len(p) for p in patterns}
+    for tau in haystacks:
+        seen = {standardize(sub) for k in sizes for sub in combinations(tau, k)}
+        if any(contains(tau, p) != (p in seen) for p in patterns):
+            return False
+    return True
+
+
+def test_compiled_classical_matches_oracle_on_permutations():
+    perms = [p for n in range(8) for p in permutations(range(1, n + 1))]
+    assert _agrees_with_oracle(perms, [p for p in perms if len(p) <= 4],
+                               contains_classical)
+
+
+def test_compiled_classical_matches_oracle_on_pattern_sets():
+    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+
+    def checked(tau, p):
+        return PatternChecker([p], Mode.CLASSICAL).contains_any(tau)
+
+    involutions = [t for n in range(9) for t in generate_involutions(n)]
+    matchings = [t for n in range(0, 11, 2) for t in generate_fpf(n)]
+    assert _agrees_with_oracle(involutions, PI_SMOOTH, checked)
+    assert _agrees_with_oracle(matchings, PI_PRIME, checked)
 
 
 def test_one_step_down_examples():

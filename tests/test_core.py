@@ -91,7 +91,7 @@ def test_generators_counts_and_invariants(involutions_by_size, matchings_by_size
 
 def test_generator_counts_to_14():
     # the size-16 extreme is asserted on the oracle only; generating
-    # 46 million words belongs to the long-run sweep
+    # 46 million words takes minutes, and no sweep needs them
     assert involution_count_oracle(16) == 46_206_736
     for n in range(9, 15):
         assert sum(1 for _ in generate_involutions(n)) == involution_count_oracle(n)

@@ -1,8 +1,10 @@
 import doctest
-import os
+
+import pytest
 
 import invpat.mcgovern as mcgovern
 from invpat.classes import PatternSet, compute_basis
+from invpat.enumeration import count_table
 from invpat.containment import Mode, PatternChecker
 from invpat.core import is_fpf, is_involution, parse_perm
 from invpat.mcgovern import (PI, PI_PRIME, PI_SMOOTH, SMOOTH_EXTRA,
@@ -65,45 +67,41 @@ def test_verify_reports_are_cumulative():
         assert r8.rows[n].classical_avoiders == r6.rows[n].classical_avoiders
 
 
-def test_workers_agree_with_serial():
-    serial = verify_part2(10)
-    parallel = verify_part2(10, workers=2)
-    assert serial.rows.keys() == parallel.rows.keys()
-    for n in serial.rows:
-        a, b = serial.rows[n], parallel.rows[n]
-        assert (a.total, a.classical_avoiders, a.extra_coarse, a.extra_full) == \
-            (b.total, b.classical_avoiders, b.extra_coarse, b.extra_full)
+def test_sweep_rows_match_brute_force():
+    for part, verify, sizes in ((1, verify_part1, range(1, 11)),
+                                (2, verify_part2, range(2, 11, 2))):
+        report = verify(max(sizes))
+        assert sorted(report.rows) == list(sizes)
+        for n in sizes:
+            assert report.rows[n] == mcgovern._brute_force_row(part, n)
 
 
-def test_checkpoint_resume(tmp_path):
-    ck = os.fspath(tmp_path / "sweep.txt")
-    first = verify_part1(7, checkpoint=ck)
-    assert first.equal and os.path.exists(ck)
-    lines = open(ck).read().strip().splitlines()
-    assert all(line.startswith("block 1 ") for line in lines)
-    # resume does not recompute finished blocks
-    before = len(lines)
-    again = verify_part1(7, checkpoint=ck)
-    assert len(open(ck).read().strip().splitlines()) == before
-    assert again.rows[7].total == first.rows[7].total
-    # a larger run reuses the file and extends it
-    extended = verify_part1(8, checkpoint=ck)
-    assert extended.equal and extended.rows[8].total == 764
+@pytest.mark.parametrize("patterns, mode, to, top", [(PI_SMOOTH, Mode.IPRIME, 12, 3356),
+                                                     (PI_PRIME, Mode.F, 14, 6682)])
+def test_avoider_levels_match_sieve_counts(patterns, mode, to, top):
+    grown = {n: len(members)
+             for n, members in mcgovern._avoider_levels(patterns, mode, to)}
+    sieve = count_table(PatternSet(patterns, mode), mode, to).counts
+    assert {n: grown[n] for n in sieve} == sieve
+    assert grown[to] == top
+    if mode is Mode.F:
+        assert all(grown[n] == 0 for n in range(1, to, 2))
 
 
 def test_sweep_detects_planted_counterexample(monkeypatch):
     # sanity that the sweep machinery reports inequality: drop the two
-    # small patterns from the coarse checker only
+    # small patterns from the set the I' levels are grown against, so
+    # the levels hold classical containers
     import invpat.mcgovern as m
 
-    real = PatternChecker
+    real = m._avoider_levels
 
-    def crippled(patterns, mode):
+    def crippled(patterns, mode, max_size):
         if mode is Mode.IPRIME:
             patterns = [p for p in patterns if len(p) > 4]
-        return real(patterns, mode)
+        return real(patterns, mode, max_size)
 
-    monkeypatch.setattr(m, "PatternChecker", crippled)
+    monkeypatch.setattr(m, "_avoider_levels", crippled)
     report = m.verify_part1(4)
     assert not report.equal
     assert report.first_counterexample() == (1, 3, 2, 4)
