@@ -2,16 +2,13 @@
 Avoidance classes and basis computation.
 
 A :class:`PatternSet` bundles patterns with the containment order they
-are read in.  :func:`class_members` lists the size-n elements of an
-ambient family (involutions or matchings) avoiding the set; for the
-deletion orders it runs a level sieve: an element avoids everything iff
-it is not itself a pattern and each one-step deletion image avoids
-everything, so membership at size n needs only the member sets at sizes
-n-1 and n-2.
-
-:func:`compute_basis` finds the minimal violators of a classical
-pattern set inside a deletion order.  Searching up to twice the largest
-pattern size is guaranteed to find the whole basis.
+are read in.  One level engine, :func:`avoider_levels`, grows the
+avoiders of a set size by size; class members (:func:`class_members`),
+bases (:func:`compute_basis`), counts (:mod:`invpat.enumeration`) and
+the equality sweeps (:mod:`invpat.mcgovern`) all read it.  A basis is
+the set of minimal violators of a classical pattern set inside a
+deletion order; searching up to twice the largest pattern size is
+guaranteed to find all of it.
 """
 from __future__ import annotations
 
@@ -19,8 +16,10 @@ from dataclasses import dataclass, field
 
 from .containment import (Mode, PatternChecker, _iter_images,
                           check_for_mode, one_step_down)
-from .core import (Perm, format_cycles, format_perm, generate_fpf,
-                   generate_involutions)
+# generate_involutions and generate_fpf stay importable here:
+# bench/tracing.py wraps them by name
+from .core import (Perm, format_cycles, format_perm, generate_fpf,  # noqa: F401
+                   generate_involutions, is_fpf)
 
 
 @dataclass(frozen=True)
@@ -46,73 +45,102 @@ class PatternSet:
         return f"{{{body}}} ({self.mode.value})"
 
 
-def _ambient_generator(mode: Mode):
-    if mode is Mode.F:
-        return generate_fpf
-    if mode in (Mode.I, Mode.IPRIME):
-        return generate_involutions
-    raise ValueError("ambient must be one of the involution/matching orders")
+def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
+                   violators: list[Perm] | None = None):
+    """
+    Yield ``(n, members)`` for n = 0..max_size: the size-n elements of the
+    ambient family (involutions, or matchings for ``F``) avoiding ps.
+
+    Each involution of size n is grown from exactly one smaller one, the
+    one left after deleting the cycle through position n: a size n-1
+    element with the fixed point n appended, or a size n-2 element with
+    the 2-cycle (p, n) inserted.  The levels are grown in a deletion
+    order (the ambient's for a classical set, the set's own otherwise),
+    where avoiders are closed under deletion, so only members are grown
+    from.  A candidate is *closed* iff every one-step image is a member,
+    and a closed candidate is a member unless it is *excluded*: one of
+    the patterns of a deletion-order set, or a container of a classical
+    one.  The closed excluded candidates are the minimal violators; they
+    are appended to ``violators`` if given.  Below the smallest pattern
+    size every candidate is a member, so no check runs there.
+
+    Only two levels are held.  Levels below ``max_size`` are sets; the
+    top level is an iterator that grows its members as it is consumed,
+    never stored.  A deletion-order set read in the matchings is grown
+    in the involutions and filtered.
+
+    >>> found = []
+    >>> ps = PatternSet([(3, 2, 1)], Mode.CLASSICAL)
+    >>> [sorted(members) for _, members in avoider_levels(ps, Mode.F, 4, found)]
+    [[()], [], [(2, 1)], [], [(2, 1, 4, 3), (3, 4, 1, 2)]]
+    >>> found
+    [(4, 3, 2, 1)]
+    """
+    if ambient is Mode.CLASSICAL:
+        raise ValueError("ambient must be one of the involution/matching orders")
+    if max_size < 0:
+        raise ValueError("size must be nonnegative")
+    if ps.mode is Mode.CLASSICAL:
+        order = ambient
+        excluded = PatternChecker(ps.patterns, Mode.CLASSICAL).contains_any
+    elif ps.mode is Mode.F and ambient is not Mode.F:
+        raise ValueError("F-mode pattern sets only filter matchings")
+    else:
+        order = ps.mode
+        excluded = ps.patterns.__contains__
+    floor = min((len(p) for p in ps.patterns), default=max_size + 1)
+    fpf_only = ambient is Mode.F and order is not Mode.F
+    older: set[Perm] = set()
+    last: set[Perm] = set()
+
+    def candidates(n: int):
+        if n == 0:
+            yield ()
+            return
+        if order is not Mode.F:
+            for sigma in last:
+                yield sigma + (n,)
+        for sigma in older:
+            # up is sigma with every value >= p raised by one; moving to
+            # p + 1 lowers the value p back, at position sigma[p - 1]
+            up = [w + 1 for w in sigma]
+            for p in range(1, n):
+                yield (*up[:p - 1], n, *up[p - 1:], p)
+                if p < n - 1:
+                    up[sigma[p - 1] - 1] = p
+
+    def members(n: int):
+        for tau in candidates(n):
+            # images of a size-floor candidate are all below floor: members
+            if n > floor and not all(img in last or img in older
+                                     for img in _iter_images(tau, order)):
+                continue
+            if n >= floor and excluded(tau):
+                if violators is not None:
+                    violators.append(tau)
+                continue
+            yield tau
+
+    for n in range(max_size):
+        level = set(members(n))
+        yield n, {tau for tau in level if is_fpf(tau)} if fpf_only else level
+        older, last = last, level
+    top = members(max_size)
+    yield max_size, filter(is_fpf, top) if fpf_only else top
 
 
-# cache: (patterns, mode) -> list of member sets per size, grown on demand
-_SIEVE: dict[tuple[frozenset[Perm], Mode], list[set[Perm]]] = {}
-
-
-def _sieve_members(ps: PatternSet, n: int) -> set[Perm]:
-    """Avoiders of ps at size n in ps.mode's own ambient family, via the level sieve."""
-    key = (ps.patterns, ps.mode)
-    levels = _SIEVE.setdefault(key, [])
-    gen = _ambient_generator(ps.mode)
-    mode = ps.mode
-    while len(levels) <= n:
-        m = len(levels)
-        members: set[Perm] = set()
-        if not (mode is Mode.F and m % 2):
-            for tau in gen(m):
-                if tau in ps.patterns:
-                    continue
-                if all(img in levels[len(img)] for img in _iter_images(tau, mode)):
-                    members.add(tau)
-        levels.append(members)
-    return levels[n]
-
-
-def class_members(ps: PatternSet, ambient_mode: Mode, n: int,
-                  method: str = "auto") -> set[Perm]:
+def class_members(ps: PatternSet, ambient_mode: Mode, n: int) -> set[Perm]:
     """
     Size-n elements of the ambient family avoiding ps under ps.mode.
 
     The ambient only picks the ground set (involutions for I/Iprime,
     matchings for F); the avoidance order is the pattern set's own.
-    ``method`` selects between the per-element embedding search
-    ("embed", cheap for a few small patterns) and the level sieve
-    ("sieve", cheap for many patterns since its cost is per element,
-    not per pattern); "auto" picks by pattern count.  The two routes
-    agree; the tests cross-check them.
 
     >>> sorted(class_members(PatternSet([(1, 3, 2)], Mode.I), Mode.I, 3))
     [(1, 2, 3), (2, 1, 3), (3, 2, 1)]
     """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    gen = _ambient_generator(ambient_mode)
-    if ps.mode is Mode.CLASSICAL:
-        checker = PatternChecker(ps.patterns, Mode.CLASSICAL)
-        return {tau for tau in gen(n) if not checker.contains_any(tau)}
-    if ambient_mode is not Mode.F and ps.mode is Mode.F:
-        raise ValueError("F-mode pattern sets only filter matchings")
-    if method == "auto":
-        method = "sieve" if len(ps.patterns) > 3 else "embed"
-    if method == "embed":
-        checker = PatternChecker(ps.patterns, ps.mode)
-        return {tau for tau in gen(n) if not checker.contains_any(tau)}
-    if method != "sieve":
-        raise ValueError(f"unknown method {method!r}")
-    members = _sieve_members(ps, n)
-    if ambient_mode is Mode.F and ps.mode is not Mode.F:
-        from .core import is_fpf
-
-        return {tau for tau in members if is_fpf(tau)}
+    for _, members in avoider_levels(ps, ambient_mode, n):
+        pass
     return set(members)
 
 
@@ -173,8 +201,9 @@ class BasisReport:
 def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> BasisReport:
     """
     Basis of the class of classical avoiders of pi inside the ambient
-    order, by a size sweep with the member sets of the two previous
-    sizes kept for the minimality lookups.
+    order: the closed but excluded candidates of :func:`avoider_levels`,
+    each size sorted lexicographically.  ``member_counts`` holds the
+    class's size per level from the same pass.
 
     ``bound`` defaults to twice the largest pattern size, which is
     enough to find every basis element.
@@ -194,26 +223,11 @@ def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> Ba
     if bound < max_pat:
         raise ValueError(f"bound {bound} is below the largest pattern size {max_pat}")
 
-    gen = _ambient_generator(ambient)
-    checker = PatternChecker(pi.patterns, Mode.CLASSICAL)
-    members: dict[int, set[Perm]] = {0: {()}}
-    found: dict[int, tuple[Perm, ...]] = {}
-    counts: dict[int, int] = {0: 1}
-    for m in range(1, bound + 1):
-        if ambient is Mode.F and m % 2:
-            members[m] = set()
-            counts[m] = 0
-            continue
-        mem: set[Perm] = set()
-        basis_here: list[Perm] = []
-        for tau in gen(m):
-            if not checker.contains_any(tau):
-                mem.add(tau)
-            elif all(img in members[len(img)] for img in one_step_down(tau, ambient)):
-                basis_here.append(tau)
-        members[m] = mem
-        counts[m] = len(mem)
-        if basis_here:
-            found[m] = tuple(basis_here)
-        members.pop(m - 2, None)
-    return BasisReport(found, bound, ambient, pi, counts)
+    violators: list[Perm] = []
+    counts = {n: sum(1 for _ in members)
+              for n, members in avoider_levels(pi, ambient, bound, violators)}
+    found: dict[int, list[Perm]] = {}
+    for tau in sorted(violators):
+        found.setdefault(len(tau), []).append(tau)
+    return BasisReport({m: tuple(v) for m, v in sorted(found.items())},
+                       bound, ambient, pi, counts)

@@ -14,8 +14,8 @@ Subcommands:
 
 Everything is exhaustive and deterministic; exit status 0 iff all
 requested checks pass, and 2 on bad arguments such as a ``--to`` below
-1.  ``--format rows`` prints tab-separated rows with a header instead
-of aligned text.
+1 (below 2 for ``count --mode F``).  ``--format rows`` prints
+tab-separated rows with a header instead of aligned text.
 """
 from __future__ import annotations
 
@@ -67,6 +67,10 @@ def _read_patterns(args) -> list:
 
 def cmd_count(args) -> int:
     mode = Mode.parse(args.mode)
+    if mode is Mode.F and args.to < 2:
+        print(f"--mode F counts matchings, which have even sizes: --to must be "
+              f"at least 2, got {args.to}", file=sys.stderr)
+        return 2
     pats = _read_patterns(args)
     ps = PatternSet(pats, mode)
     ambient = Mode.F if mode is Mode.F else Mode.I

@@ -4,16 +4,19 @@ continued-fraction series.
 
 Everything is plain Python integer arithmetic; the factorials and
 binomials in play overflow 64 bits well inside the tested ranges.
-Counts of avoiders are delegated to the level sieve in
-:mod:`invpat.classes`, so each closed form can be compared against an
-independent exhaustive tally.
+Counts of avoiders come from one pass of the level engine
+:func:`invpat.classes.avoider_levels`, which streams the top level
+instead of storing it, so each closed form can be compared against an
+exhaustive tally of every avoider.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial
 
-from .classes import PatternSet, class_members
+# class_members stays importable here: bench/tracing.py wraps it by name
+from .classes import PatternSet, avoider_levels, class_members  # noqa: F401
 from .containment import Mode
 from .core import fixed_points
 
@@ -110,18 +113,10 @@ class CountTable:
         return "\n".join(lines)
 
 
-def count_avoiders(ps: PatternSet, ambient: Mode, n: int,
-                   refine_by_fixed_points: bool = False):
-    """
-    Exact number of size-n avoiders; with the refinement flag, a dict
-    keyed by fixed-point count.
-
-    >>> count_avoiders(PatternSet([(2, 1, 4, 3)], Mode.I), Mode.I, 4)
-    9
-    """
-    members = class_members(ps, ambient, n)
+def _tally(members, refine_by_fixed_points: bool):
+    """Number of members, or a dict of them keyed by fixed-point count."""
     if not refine_by_fixed_points:
-        return len(members)
+        return sum(1 for _ in members)
     refined: dict[int, int] = {}
     for tau in members:
         m = len(fixed_points(tau))
@@ -129,21 +124,44 @@ def count_avoiders(ps: PatternSet, ambient: Mode, n: int,
     return refined
 
 
+def count_avoiders(ps: PatternSet, ambient: Mode, n: int,
+                   refine_by_fixed_points: bool = False):
+    """
+    Exact number of size-n avoiders; with the refinement flag, a dict
+    keyed by fixed-point count.  The size-n avoiders are counted as they
+    are grown, never stored.
+
+    >>> count_avoiders(PatternSet([(2, 1, 4, 3)], Mode.I), Mode.I, 4)
+    9
+    """
+    for _, members in avoider_levels(ps, ambient, n):
+        pass
+    return _tally(members, refine_by_fixed_points)
+
+
+def _level_counts(ps: PatternSet, ambient: Mode, n_max: int) -> list[int]:
+    """
+    Avoider counts for sizes 0..n_max from one pass of the level engine.
+
+    >>> _level_counts(PatternSet([(2, 1, 4, 3)], Mode.F), Mode.F, 6)
+    [1, 0, 1, 0, 2, 0, 6]
+    """
+    return [_tally(members, False) for _, members in avoider_levels(ps, ambient, n_max)]
+
+
 def count_table(ps: PatternSet, ambient: Mode, n_max: int,
                 refine_by_fixed_points: bool = False) -> CountTable:
-    counts: dict[int, int] = {}
-    refined: dict[tuple[int, int], int] = {}
-    for n in range(1, n_max + 1):
-        if ambient is Mode.F and n % 2:
-            continue
-        if refine_by_fixed_points:
-            by_fix = count_avoiders(ps, ambient, n, True)
-            counts[n] = sum(by_fix.values())
-            for m, c in sorted(by_fix.items()):
-                refined[(n, m)] = c
-        else:
-            counts[n] = count_avoiders(ps, ambient, n)
-    return CountTable(ps, ambient, counts, refined if refine_by_fixed_points else None)
+    """Counts for sizes 1..n_max (even sizes only for matchings) in one pass."""
+    if ambient is Mode.F:
+        n_max -= n_max % 2           # the odd top level is empty: grow to the even one
+    tallies = {n: _tally(members, refine_by_fixed_points)
+               for n, members in avoider_levels(ps, ambient, max(n_max, 0))
+               if n and not (ambient is Mode.F and n % 2)}
+    if not refine_by_fixed_points:
+        return CountTable(ps, ambient, tallies)
+    counts = {n: sum(by_fix.values()) for n, by_fix in tallies.items()}
+    refined = {(n, m): c for n, by_fix in tallies.items() for m, c in by_fix.items()}
+    return CountTable(ps, ambient, counts, refined)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +339,11 @@ def check_fixed_point_identity(r: PatternSet, n_max: int,
     if r.mode is not Mode.F:
         raise ValueError("the identity needs fixed-point-free patterns")
     as_i = PatternSet(r.patterns, Mode.I)
-    for n in range(0, n_max + 1):
-        f_counts = {k: len(class_members(r, Mode.F, k)) if k % 2 == 0 else 0
-                    for k in range(n + 1)}
+    f_counts = _level_counts(r, Mode.F, n_max)
+    for n, members in avoider_levels(as_i, Mode.I, n_max):
         by_fix: dict[int, int] = {m: 0 for m in range(n + 1)}
         by_set: dict[frozenset[int], int] = {}
-        for tau in class_members(as_i, Mode.I, n):
+        for tau in members:
             fp = frozenset(fixed_points(tau))
             by_fix[len(fp)] += 1
             if n <= subset_limit:
@@ -335,8 +352,6 @@ def check_fixed_point_identity(r: PatternSet, n_max: int,
             if by_fix[m] != comb(n, m) * f_counts[n - m]:
                 return False
         if n <= subset_limit:
-            from itertools import combinations
-
             for m in range(n + 1):
                 for s in combinations(range(1, n + 1), m):
                     if by_set.get(frozenset(s), 0) != f_counts[n - m]:
@@ -356,10 +371,8 @@ def check_corollary_stanley(m: int, n_max: int) -> bool:
         raise ValueError("m must be positive")
     shift = tuple(range(m + 1, 2 * m + 1)) + tuple(range(1, m + 1))
     dec = tuple(range(2 * m, 0, -1))
-    a = PatternSet([shift], Mode.I)
-    b = PatternSet([dec], Mode.I)
-    return all(len(class_members(a, Mode.I, n)) == len(class_members(b, Mode.I, n))
-               for n in range(1, n_max + 1))
+    return (_level_counts(PatternSet([shift], Mode.I), Mode.I, n_max)
+            == _level_counts(PatternSet([dec], Mode.I), Mode.I, n_max))
 
 
 def egf_identity_report(r: PatternSet, n_max: int) -> list[tuple[int, int, int, bool]]:
@@ -370,12 +383,9 @@ def egf_identity_report(r: PatternSet, n_max: int) -> list[tuple[int, int, int, 
     """
     if r.mode is not Mode.F:
         raise ValueError("the identity needs fixed-point-free patterns")
-    as_i = PatternSet(r.patterns, Mode.I)
-    f_counts = {k: len(class_members(r, Mode.F, k)) if k % 2 == 0 else 0
-                for k in range(n_max + 1)}
+    f_counts = _level_counts(r, Mode.F, n_max)
     rows = []
-    for n in range(n_max + 1):
-        lhs = len(class_members(as_i, Mode.I, n))
+    for n, lhs in enumerate(_level_counts(PatternSet(r.patterns, Mode.I), Mode.I, n_max)):
         rhs = sum(comb(n, m) * f_counts[n - m] for m in range(n + 1))
         rows.append((n, lhs, rhs, lhs == rhs))
     return rows

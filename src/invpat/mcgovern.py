@@ -13,8 +13,9 @@ Every deletion relation removes entries, so classical avoiders of a
 set avoid it in every deletion order: classical avoiders are contained
 in the I-avoiders, which are contained in the I'-avoiders (and, for
 matchings, in the F-avoiders).  A sweep therefore visits only the
-deletion-order avoiders, grown size by size with a generating tree
-(:func:`_avoider_levels`), and runs the classical check on those; a
+deletion-order avoiders, grown size by size with a generating tree by
+the level engine :func:`invpat.classes.avoider_levels` (the top size is
+streamed, not stored), and runs the classical check on those; a
 counterexample is an avoider that contains a pattern classically.  The
 totals per size come from the closed counts, not from a scan.
 :func:`_brute_force_row` scans every element of one size instead and
@@ -25,7 +26,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .containment import Mode, PatternChecker, _iter_images
+from .classes import PatternSet, avoider_levels
+from .containment import Mode, PatternChecker
 from .core import (Perm, check_fpf, check_involution, generate_fpf,
                    generate_involutions, odd_fix_gap, parse_perm)
 from .enumeration import involution_count, matching_count
@@ -123,46 +125,6 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _avoider_levels(patterns, mode: Mode, max_size: int):
-    """
-    Yield ``(n, members)`` for n = 0..max_size: the involutions (matchings
-    in ``F`` mode) of size n avoiding ``patterns`` in the deletion order
-    ``mode``.
-
-    Each involution of size n is grown from exactly one smaller one, the
-    one left after deleting the cycle through position n: a size n-1
-    element with the fixed point n appended, or a size n-2 element with
-    the 2-cycle (p, n) inserted.  Avoiders are closed under deletion, so
-    only avoiders need growing, and a candidate is kept iff it is not a
-    pattern and every one-step image is a member (the closure rule of
-    ``classes._sieve_members``).  Only the two previous levels are held.
-
-    >>> [len(members) for _, members in _avoider_levels([(2, 1)], Mode.IPRIME, 4)]
-    [1, 1, 1, 1, 1]
-    """
-    patterns = frozenset(patterns)
-    older: set[Perm] = set()
-    last: set[Perm] = {()} - patterns
-    yield 0, last
-    for n in range(1, max_size + 1):
-        level: set[Perm] = set()
-
-        def keep(tau: Perm) -> None:
-            if tau not in patterns and all(img in last or img in older
-                                           for img in _iter_images(tau, mode)):
-                level.add(tau)
-
-        if mode is not Mode.F:
-            for sigma in last:
-                keep(sigma + (n,))
-        for sigma in older:
-            for p in range(1, n):
-                shifted = tuple(w + (w >= p) for w in sigma)
-                keep(shifted[:p - 1] + (n,) + shifted[p - 1:] + (p,))
-        older, last = last, level
-        yield n, level
-
-
 def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
     if max_size < 1:
         raise ValueError("max_size must be positive")
@@ -175,18 +137,23 @@ def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
     classical = PatternChecker(patterns, Mode.CLASSICAL)
     report = SweepReport(part, max_size)
     start = tick = time.perf_counter()
-    for n, members in _avoider_levels(patterns, mode, max_size):
+    for n, members in avoider_levels(PatternSet(patterns, mode), mode, max_size):
         if n == 0 or (part == 2 and n % 2):
             continue
-        containers = [tau for tau in members if classical.contains_any(tau)]
+        visited = 0
+        containers = []
+        for tau in members:
+            visited += 1
+            if classical.contains_any(tau):
+                containers.append(tau)
         missed_full = (len(containers) if full is None
                        else sum(not full.contains_any(tau) for tau in containers))
-        row = SizeRow(n, count(n), len(members) - len(containers), len(containers),
+        row = SizeRow(n, count(n), visited - len(containers), len(containers),
                       missed_full, min(containers, default=None))
         report.rows[n] = row
         if progress:
             now = time.perf_counter()
-            progress(part, row, len(members), now - tick, now - start)
+            progress(part, row, visited, now - tick, now - start)
             tick = now
     return report
 

@@ -3,9 +3,9 @@ import doctest
 import pytest
 
 import invpat.classes as classes
-from invpat.classes import (PatternSet, class_members, compute_basis,
-                            is_minimal_violator)
-from invpat.containment import Mode, contains_classical, down_set
+from invpat.classes import (PatternSet, avoider_levels, class_members,
+                            compute_basis, is_minimal_violator)
+from invpat.containment import Mode, PatternChecker, contains_classical, down_set
 from invpat.core import parse_perm
 from conftest import involution_count_oracle
 
@@ -49,15 +49,71 @@ def test_class_members_examples():
     assert class_members(p132, Mode.I, 3) == {(1, 2, 3), (2, 1, 3), (3, 2, 1)}
 
 
-def test_class_members_routes_agree(involutions_by_size):
-    for pats, mode in ([[(1, 3, 2)], Mode.I],
-                       [[(2, 1, 4, 3)], Mode.F],
-                       [[(3, 2, 1), (2, 1, 4, 3)], Mode.IPRIME]):
-        ps = PatternSet(pats, mode)
-        amb = Mode.F if mode is Mode.F else Mode.I
-        for n in range(9):
-            assert class_members(ps, amb, n, method="embed") == \
-                class_members(ps, amb, n, method="sieve")
+def _scan_levels(ps, ambient, families, to):
+    """Oracle: every element of the ambient family, filtered by PatternChecker."""
+    checker = PatternChecker(ps.patterns, ps.mode)
+    return [{tau for tau in families.get(n, ()) if not checker.contains_any(tau)}
+            for n in range(to + 1)]
+
+
+def _engine_levels(ps, ambient, to):
+    return [set(members) for _, members in avoider_levels(ps, ambient, to)]
+
+
+def test_avoider_levels_match_scan(involutions_by_size, matchings_by_size):
+    # the level engine against an exhaustive scan at every size <= 8,
+    # in each order, for classical sets in both ambients and for a
+    # deletion-order set read in the matchings
+    from itertools import permutations
+
+    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+
+    perms = [p for k in range(4) for p in permutations(range(1, k + 1))]
+    extra = [(2, 1, 4, 3), (1, 3, 2, 4)]
+    cases = []
+    for mode in (Mode.I, Mode.IPRIME):
+        small = [p for k in range(4) for p in involutions_by_size[k]] + extra
+        for pats in [[]] + [[p] for p in small] + [PI_SMOOTH]:
+            cases.append((PatternSet(pats, mode), Mode.I))
+    for pats in ([], [()], [(2, 1)], [(2, 1, 4, 3)], PI_PRIME):
+        cases.append((PatternSet(pats, Mode.F), Mode.F))
+    for ambient in (Mode.I, Mode.F):
+        for pats in [[]] + [[p] for p in perms + extra] + [PI_SMOOTH, PI_PRIME]:
+            cases.append((PatternSet(pats, Mode.CLASSICAL), ambient))
+    for pats in ([(1, 2)], [(2, 1, 4, 3)]):
+        cases.append((PatternSet(pats, Mode.I), Mode.F))
+    for ps, ambient in cases:
+        families = matchings_by_size if ambient is Mode.F else involutions_by_size
+        assert _engine_levels(ps, ambient, 8) == _scan_levels(ps, ambient, families, 8), \
+            (str(ps), ambient)
+    ps = PatternSet([(2, 1, 4, 3)], Mode.I)
+    assert class_members(ps, Mode.F, 8) == _scan_levels(ps, Mode.F, matchings_by_size, 8)[8]
+
+
+def test_compute_basis_matches_scan(involutions_by_size, matchings_by_size):
+    # minimal violators by scan: classical containers whose one-step
+    # images all avoid; member counts are the scan's avoider counts
+    from itertools import permutations
+
+    from invpat.containment import one_step_down
+
+    for pat in list(permutations((1, 2, 3))) + [(2, 1, 4, 3), (1, 3, 2, 4)]:
+        checker = PatternChecker([pat], Mode.CLASSICAL)
+        ps = PatternSet([pat], Mode.CLASSICAL)
+        for ambient in (Mode.I, Mode.IPRIME, Mode.F):
+            families = matchings_by_size if ambient is Mode.F else involutions_by_size
+            want: dict = {}
+            avoiders = {}
+            for n in range(9):
+                family = families.get(n, ())
+                avoiders[n] = sum(not checker.contains_any(t) for t in family)
+                minimal = [t for t in family if checker.contains_any(t) and not any(
+                    checker.contains_any(img) for img in one_step_down(t, ambient))]
+                if minimal:
+                    want[n] = tuple(minimal)
+            report = compute_basis(ps, ambient, bound=8)
+            assert report.elements == want, (pat, ambient)
+            assert report.member_counts == avoiders, (pat, ambient)
 
 
 def test_empty_pattern_set_counts_everything():

@@ -40,6 +40,15 @@ def test_count_formula_matchings(capsys):
     assert status == 2 and "fixed point" in err
 
 
+def test_count_matchings_needs_an_even_size(capsys):
+    status, out, err = run(capsys, "count", "--patterns", "", "--mode", "F", "--to", "1")
+    assert status == 2
+    assert out == ""
+    assert "--to must be at least 2" in err
+    status, out, _ = run(capsys, "count", "--patterns", "", "--mode", "F", "--to", "2")
+    assert status == 0 and out.strip().splitlines()[-1].split() == ["n=2", "1"]
+
+
 def test_count_matchings_rows(capsys):
     status, out, _ = run(capsys, "count", "--patterns", "2143", "--mode", "F",
                          "--to", "12", "--format", "rows")

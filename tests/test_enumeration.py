@@ -168,3 +168,23 @@ def test_count_table_serialization():
     refined = count_table(PatternSet([], Mode.I), Mode.I, 3, True)
     assert "n\tfixed\tcount" in refined.to_rows()[0]
     assert refined.refined[(3, 1)] == 3
+
+
+def test_count_table_streams_the_top_level():
+    # counting to 11 holds the levels of sizes 9 and 10 only, which take
+    # less memory than a list of the 35,696 size-11 involutions
+    import tracemalloc
+
+    from invpat.core import generate_involutions
+
+    tracemalloc.start()
+    try:
+        table = count_table(PatternSet([], Mode.I), Mode.I, 11)
+        _, counting_peak = tracemalloc.get_traced_memory()
+        before, _ = tracemalloc.get_traced_memory()
+        top = list(generate_involutions(11))
+        list_size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.counts[11] == len(top) == 35696
+    assert counting_peak < list_size, (counting_peak, list_size)

@@ -3,7 +3,7 @@ import doctest
 import pytest
 
 import invpat.mcgovern as mcgovern
-from invpat.classes import PatternSet, compute_basis
+from invpat.classes import PatternSet, avoider_levels, compute_basis
 from invpat.enumeration import count_table
 from invpat.containment import Mode, PatternChecker
 from invpat.core import is_fpf, is_involution, parse_perm
@@ -78,11 +78,13 @@ def test_sweep_rows_match_brute_force():
 
 @pytest.mark.parametrize("patterns, mode, to, top", [(PI_SMOOTH, Mode.IPRIME, 12, 3356),
                                                      (PI_PRIME, Mode.F, 14, 6682)])
-def test_avoider_levels_match_sieve_counts(patterns, mode, to, top):
-    grown = {n: len(members)
-             for n, members in mcgovern._avoider_levels(patterns, mode, to)}
-    sieve = count_table(PatternSet(patterns, mode), mode, to).counts
-    assert {n: grown[n] for n in sieve} == sieve
+def test_avoider_level_counts_reach_pinned_tops(patterns, mode, to, top):
+    # the stored levels and the streamed top agree with count_table; the
+    # pinned tops were counted by a scan of every element of that size
+    ps = PatternSet(patterns, mode)
+    grown = {n: sum(1 for _ in members) for n, members in avoider_levels(ps, mode, to)}
+    counts = count_table(ps, mode, to).counts
+    assert {n: grown[n] for n in counts} == counts
     assert grown[to] == top
     if mode is Mode.F:
         assert all(grown[n] == 0 for n in range(1, to, 2))
@@ -94,14 +96,14 @@ def test_sweep_detects_planted_counterexample(monkeypatch):
     # the levels hold classical containers
     import invpat.mcgovern as m
 
-    real = m._avoider_levels
+    real = m.avoider_levels
 
-    def crippled(patterns, mode, max_size):
-        if mode is Mode.IPRIME:
-            patterns = [p for p in patterns if len(p) > 4]
-        return real(patterns, mode, max_size)
+    def crippled(ps, ambient, max_size):
+        if ps.mode is Mode.IPRIME:
+            ps = PatternSet([p for p in ps.patterns if len(p) > 4], ps.mode)
+        return real(ps, ambient, max_size)
 
-    monkeypatch.setattr(m, "_avoider_levels", crippled)
+    monkeypatch.setattr(m, "avoider_levels", crippled)
     report = m.verify_part1(4)
     assert not report.equal
     assert report.first_counterexample() == (1, 3, 2, 4)
