@@ -34,15 +34,25 @@ The maps:
   leading block plus one after each even-index Dyck step).
 - ``involution_to_andre``: the composite bijection from 132-avoiding
   involutions to even-level paths; level steps count fixed points.
+
+Cost: each map validates its input in one pass (the two labeled path
+types share one validator), builds its tree in linear time with one
+stack pass into a flat child array, and moves labels through lists
+indexed by step position.  The open-slot list of the insertion history
+is kept as a Python list, whose C-level index and splice are the only
+steps that grow with the number of open slots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
 
-from .containment import Mode, contains_fast
+from .containment import Mode, _compile_pattern, _embed
 from .core import (Perm, check_involution, check_permutation, fixed_points,
                    inverse, skew_sum, standardize, two_cycles)
+
+# compiled once: involution_to_andre guards every call with it
+_PATTERN_132 = _compile_pattern((1, 3, 2), Mode.I)
 
 # ---------------------------------------------------------------------------
 # path types
@@ -74,9 +84,39 @@ def check_motzkin(word: str) -> str:
     return word
 
 
-def _down_bound(h_from: int) -> int:
-    """Number of labels available to a down step descending from h_from."""
-    return (h_from + 1) // 2
+def _check_labeled_path(word: str, down_labels, levels_allowed: bool) -> None:
+    """
+    One pass over a labeled Motzkin word: steps, height, level steps
+    (anywhere only if ``levels_allowed``, and then at even height), one
+    int label per down step within 1..ceil(h/2) for the height h it
+    descends from.
+    """
+    h = k = 0
+    n_labels = len(down_labels)
+    for s in word:
+        if s == "U":
+            h += 1
+        elif s == "D":
+            if k == n_labels:
+                raise ValueError("one label per down step required")
+            lab = down_labels[k]
+            if not isinstance(lab, int) or not 1 <= lab <= (h + 1) // 2:
+                raise ValueError(f"label {lab!r} out of range for down step from height {h}")
+            k += 1
+            h -= 1
+            if h < 0:
+                raise ValueError(f"path dips below zero: {word!r}")
+        elif s == "L":
+            if not levels_allowed:
+                raise ValueError("Dyck word cannot contain level steps")
+            if h % 2:
+                raise ValueError(f"level step at odd height in {word!r}")
+        else:
+            raise ValueError(f"bad step {s!r} in {word!r}")
+    if h:
+        raise ValueError(f"path does not return to zero: {word!r}")
+    if k != n_labels:
+        raise ValueError("one label per down step required")
 
 
 @dataclass(frozen=True)
@@ -95,17 +135,7 @@ class LabeledDyck:
 
 
 def check_labeled_dyck(ldp: LabeledDyck) -> LabeledDyck:
-    check_motzkin(ldp.word)
-    if "L" in ldp.word:
-        raise ValueError("Dyck word cannot contain level steps")
-    downs = [i for i, s in enumerate(ldp.word) if s == "D"]
-    if len(downs) != len(ldp.down_labels):
-        raise ValueError("one label per down step required")
-    hs = heights(ldp.word)
-    for lab, i in zip(ldp.down_labels, downs):
-        top = hs[i] + 1
-        if not 1 <= lab <= _down_bound(top):
-            raise ValueError(f"label {lab} out of range for down step from height {top}")
+    _check_labeled_path(ldp.word, ldp.down_labels, levels_allowed=False)
     return ldp
 
 
@@ -121,20 +151,7 @@ class AndrePath:
 
 
 def check_andre(ap: AndrePath) -> AndrePath:
-    check_motzkin(ap.word)
-    hs = heights(ap.word)
-    downs = []
-    for i, s in enumerate(ap.word):
-        if s == "L" and hs[i] % 2:
-            raise ValueError(f"level step at odd height in {ap.word!r}")
-        if s == "D":
-            downs.append(i)
-    if len(downs) != len(ap.down_labels):
-        raise ValueError("one label per down step required")
-    for lab, i in zip(ap.down_labels, downs):
-        top = hs[i] + 1
-        if not 1 <= lab <= _down_bound(top):
-            raise ValueError(f"label {lab} out of range for down step from height {top}")
+    _check_labeled_path(ap.word, ap.down_labels, levels_allowed=True)
     return ap
 
 
@@ -158,8 +175,8 @@ def check_history(lh: LaguerreHistory) -> LaguerreHistory:
     for s, lab in zip(lh.steps, lh.labels):
         if s not in ("U", "D", "L1", "L2"):
             raise ValueError(f"bad history step {s!r}")
-        if not 1 <= lab <= h + 1:
-            raise ValueError(f"label {lab} out of range at height {h}")
+        if not isinstance(lab, int) or not 1 <= lab <= h + 1:
+            raise ValueError(f"label {lab!r} out of range at height {h}")
         h += (s == "U") - (s == "D")
         if h < 0:
             raise ValueError("history dips below zero")
@@ -173,6 +190,8 @@ def check_history(lh: LaguerreHistory) -> LaguerreHistory:
 
 
 def iter_motzkin_words(n: int, level_even_only: bool = False) -> Iterator[str]:
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     word: list[str] = []
 
     def rec(h: int, left: int) -> Iterator[str]:
@@ -195,6 +214,8 @@ def iter_motzkin_words(n: int, level_even_only: bool = False) -> Iterator[str]:
 
 
 def iter_dyck_words(half: int) -> Iterator[str]:
+    if half < 0:
+        raise ValueError("size must be nonnegative")
     word: list[str] = []
     n = 2 * half
 
@@ -218,9 +239,15 @@ def iter_dyck_words(half: int) -> Iterator[str]:
 def _label_choices(word: str) -> Iterator[tuple[int, ...]]:
     from itertools import product
 
-    hs = heights(word)
-    bounds = [_down_bound(hs[i] + 1) for i, s in enumerate(word) if s == "D"]
-    yield from product(*(range(1, b + 1) for b in bounds))
+    ranges = []
+    h = 0
+    for s in word:
+        if s == "U":
+            h += 1
+        elif s == "D":
+            ranges.append(range(1, (h + 1) // 2 + 1))
+            h -= 1
+    yield from product(*ranges)
 
 
 def iter_labeled_dyck(half: int) -> Iterator[LabeledDyck]:
@@ -236,6 +263,8 @@ def iter_andre_paths(n: int) -> Iterator[AndrePath]:
 
 
 def iter_laguerre_histories(n: int) -> Iterator[LaguerreHistory]:
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     steps: list[str] = []
     labels: list[int] = []
 
@@ -306,6 +335,25 @@ def from_skew_half(sigma: Perm, odd: bool) -> Perm:
 # permutations <-> histories via increasing binary trees
 
 
+def _tree_kids(sigma: Perm) -> list[int]:
+    """
+    The split-at-the-minimum tree of a permutation of 1..n, built in one
+    stack pass over the right spine.  Slot ``2*v + side`` holds the
+    left (side 0) or right (side 1) child of vertex v, or 0; the root
+    hangs in slot 1, the right slot of the virtual vertex 0.
+    """
+    kids = [0] * (2 * len(sigma) + 2)
+    spine = [0]
+    for v in sigma:
+        last = 0
+        while spine[-1] > v:
+            last = spine.pop()
+        kids[2 * v] = last
+        kids[2 * spine[-1] + 1] = v
+        spine.append(v)
+    return kids
+
+
 def increasing_tree(sigma: Perm):
     """
     The binary tree of a permutation, splitting at the minimum: nested
@@ -317,38 +365,12 @@ def increasing_tree(sigma: Perm):
     (1, (2, None, None), (3, None, None))
     """
     sigma = check_permutation(sigma)
-
-    def build(lo: int, hi: int):
-        if lo > hi:
-            return None
-        i = min(range(lo, hi + 1), key=sigma.__getitem__)
-        return (sigma[i], build(lo, i - 1), build(i + 1, hi))
-
-    return build(0, len(sigma) - 1)
-
-
-def _perm_to_parents(sigma: Perm):
-    """
-    Split-at-the-minimum tree: returns {label: (parent, side)} and
-    {label: (has_left, has_right)}; the root has parent 0.
-    """
-    parent: dict[int, tuple[int, str]] = {}
-    child: dict[int, list[bool]] = {v: [False, False] for v in sigma}
-
-    def build(lo: int, hi: int, par: int, side: str) -> None:
-        if lo > hi:
-            return
-        i = min(range(lo, hi + 1), key=sigma.__getitem__)
-        v = sigma[i]
-        parent[v] = (par, side)
-        if par:
-            child[par]["lr".index(side)] = True
-        build(lo, i - 1, v, "l")
-        build(i + 1, hi, v, "r")
-
-    if sigma:
-        build(0, len(sigma) - 1, 0, "r")
-    return parent, child
+    kids = _tree_kids(sigma)
+    # children carry larger labels, so build from the largest vertex up
+    node: list = [None] * (len(sigma) + 1)
+    for v in range(len(sigma), 0, -1):
+        node[v] = (v, node[kids[2 * v]], node[kids[2 * v + 1]])
+    return node[kids[1]]
 
 
 def perm_to_history(sigma: Perm) -> LaguerreHistory:
@@ -367,20 +389,27 @@ def perm_to_history(sigma: Perm) -> LaguerreHistory:
     if not sigma:
         raise ValueError("need a permutation of size at least 1")
     n = len(sigma) - 1
-    parent, child = _perm_to_parents(sigma)
-    slots: list[tuple[int, str]] = [(0, "r")]
+    kids = _tree_kids(sigma)
+    # the open slots in in-order, each named by the vertex that fills it
+    slots = [kids[1]]
     steps: list[str] = []
     labels: list[int] = []
-    for v in range(1, n + 2):
-        spot = slots.index(parent[v])
-        has_l, has_r = child[v]
-        grown = [(v, "l")] * has_l + [(v, "r")] * has_r
-        slots[spot:spot + 1] = grown
-        if v <= n:
-            steps.append({(True, True): "U", (True, False): "L1",
-                          (False, True): "L2", (False, False): "D"}[(has_l, has_r)])
-            labels.append(spot + 1)
-    assert not slots
+    for v in range(1, n + 1):
+        spot = slots.index(v)
+        left, right = kids[2 * v], kids[2 * v + 1]
+        if left and right:
+            slots[spot:spot + 1] = (left, right)
+            steps.append("U")
+        elif left:
+            slots[spot] = left
+            steps.append("L1")
+        elif right:
+            slots[spot] = right
+            steps.append("L2")
+        else:
+            del slots[spot]
+            steps.append("D")
+        labels.append(spot + 1)
     return LaguerreHistory(tuple(steps), tuple(labels))
 
 
@@ -394,31 +423,33 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     """
     lh = check_history(lh)
     n = len(lh.steps)
-    kids: dict[int, dict[str, int]] = {v: {} for v in range(0, n + 2)}
-    slots: list[tuple[int, str]] = [(0, "r")]
-    for v in range(1, n + 2):
-        if v <= n:
-            step, lab = lh.steps[v - 1], lh.labels[v - 1]
+    kids = [0] * (2 * n + 4)
+    # open slots in in-order; a valid history keeps h + 1 of them at
+    # height h, so every label names one
+    slots = [1]
+    for v, (step, lab) in enumerate(zip(lh.steps, lh.labels), 1):
+        spot = lab - 1
+        kids[slots[spot]] = v
+        if step == "U":
+            slots[spot:spot + 1] = (2 * v, 2 * v + 1)
+        elif step == "L1":
+            slots[spot] = 2 * v
+        elif step == "L2":
+            slots[spot] = 2 * v + 1
         else:
-            step, lab = "D", 1
-        assert 1 <= lab <= len(slots)
-        par, side = slots[lab - 1]
-        kids[par][side] = v
-        grown = {"U": [(v, "l"), (v, "r")], "L1": [(v, "l")],
-                 "L2": [(v, "r")], "D": []}[step]
-        slots[lab - 1:lab] = grown
-    assert not slots
+            del slots[spot]
+    kids[slots[0]] = n + 1  # the forced largest vertex
 
     out: list[int] = []
-
-    def visit(v: int) -> None:
-        if "l" in kids[v]:
-            visit(kids[v]["l"])
+    path: list[int] = []
+    v = kids[1]
+    while v or path:
+        while v:
+            path.append(v)
+            v = kids[2 * v]
+        v = path.pop()
         out.append(v)
-        if "r" in kids[v]:
-            visit(kids[v]["r"])
-
-    visit(kids[0]["r"])
+        v = kids[2 * v + 1]
     return tuple(out)
 
 
@@ -432,10 +463,10 @@ def _pairs(word: str) -> list[str]:
     return [kind[word[2 * i - 1] + word[2 * i]] for i in range(1, len(word) // 2)]
 
 
-def _match_downs(steps) -> dict[int, int]:
-    """For each U index (0-based) the index of the D returning to its start height."""
+def _match_downs(steps) -> list[int]:
+    """At each U index (0-based) the index of the D returning to its start height."""
     stack: list[int] = []
-    match: dict[int, int] = {}
+    match = [0] * len(steps)
     for i, s in enumerate(steps):
         if s == "U":
             stack.append(i)
@@ -459,7 +490,8 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     word = ldp.word
     if not word:
         raise ValueError("need half-length at least 1")
-    mu: dict[int, int] = {}
+    # mu[i]: the label of the down step at word position i
+    mu = [0] * len(word)
     it = iter(ldp.down_labels)
     for i, s in enumerate(word):
         if s == "D":
@@ -470,8 +502,6 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     for i, s in enumerate(steps):
         if s == "U":
             labels.append(mu[2 * match[i] + 2])
-        elif s == "D":
-            labels.append(mu[2 * i + 1])
         elif s == "L1":
             labels.append(mu[2 * i + 2])
         else:
@@ -491,18 +521,17 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     body = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
     word = "U" + "".join(body[s] for s in lh.steps) + "D"
     match = _match_downs(lh.steps)
-    mu: dict[int, int] = {2 * n + 1: 1}
-    for i, s in enumerate(lh.steps):
-        lab = lh.labels[i]
-        if s == "D":
-            mu[2 * i + 1] = lab
+    # mu[i]: the label of the down step at word position i
+    mu = [0] * (2 * n + 2)
+    mu[2 * n + 1] = 1
+    for i, (s, lab) in enumerate(zip(lh.steps, lh.labels)):
+        if s == "U":
+            mu[2 * match[i] + 2] = lab
         elif s == "L1":
             mu[2 * i + 2] = lab
-        elif s == "L2":
-            mu[2 * i + 1] = lab
         else:
-            mu[2 * match[i] + 2] = lab
-    downs = tuple(mu[i] for i in sorted(mu))
+            mu[2 * i + 1] = lab
+    downs = tuple(lab for lab, s in zip(mu, word) if s == "D")
     return check_labeled_dyck(LabeledDyck(word, downs))
 
 
@@ -605,23 +634,25 @@ def involution_to_andre(tau: Perm) -> AndrePath:
     'UD (1)'
     """
     tau = check_involution(tau)
-    if contains_fast(tau, (1, 3, 2), Mode.I):
-        raise ValueError("involution contains 132 in the deletion order")
     cyc = two_cycles(tau)
+    if _embed(cyc, fixed_points(tau), _PATTERN_132, allow_fix=True, allow_collapse=True):
+        raise ValueError("involution contains 132 in the deletion order")
     k = len(cyc)
-    fixes = fixed_points(tau)
-    # openers first, then closers and fixed points interleaved
-    closers = sorted(b for _, b in cyc)
+    # openers first, then closers and fixed points interleaved; a fixed
+    # point joins the block after the closers to its left
     assert all(a <= k for a, _ in cyc)
     comp = [0] * (k + 1)
-    for f in fixes:
-        comp[sum(1 for b in closers if b < f)] += 1
+    closed = 0
+    for p, v in enumerate(tau, 1):
+        if v == p:
+            comp[closed] += 1
+        elif v < p:
+            closed += 1
     if k == 0:
         return insert_level_steps(tuple(comp), LabeledDyck("", ()))
     # the matching's second half: closer values in position order,
     # already a permutation of 1..k because the openers sit first
-    support = [v for i, v in enumerate(tau) if v != i + 1]
-    sigma = standardize(tuple(support[k:]))
+    sigma = tuple(v for p, v in enumerate(tau, 1) if v < p)
     lh = perm_to_history(sigma)
     ldp = history_to_dyck(lh)
     return insert_level_steps(tuple(comp), ldp)

@@ -8,7 +8,8 @@ import invpat.bijections as bijections
 from invpat.bijections import (AndrePath, LabeledDyck, LaguerreHistory,
                                andre_to_involution, check_andre,
                                check_history, check_labeled_dyck,
-                               dyck_to_history, from_skew_half,
+                               check_motzkin, dyck_to_history,
+                               from_skew_half, heights,
                                history_to_dyck, history_to_perm,
                                insert_fixed_points, insert_level_steps,
                                involution_to_andre, iter_andre_paths,
@@ -20,6 +21,102 @@ from invpat.classes import PatternSet, class_members
 from invpat.containment import Mode
 from invpat.core import fixed_points, generate_involutions
 from invpat.enumeration import formula_pattern132
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: the earlier multi-pass validators (over the
+# unchanged check_motzkin and heights) and the recursive
+# split-at-the-minimum tree builder
+
+
+def _oracle_down_labels(word, labels):
+    downs = [i for i, s in enumerate(word) if s == "D"]
+    if len(downs) != len(labels):
+        raise ValueError("one label per down step required")
+    hs = heights(word)
+    for lab, i in zip(labels, downs):
+        top = hs[i] + 1
+        if not 1 <= lab <= (top + 1) // 2:
+            raise ValueError("label out of range")
+
+
+def oracle_check_labeled_dyck(word, labels):
+    check_motzkin(word)
+    if "L" in word:
+        raise ValueError("Dyck word cannot contain level steps")
+    _oracle_down_labels(word, labels)
+
+
+def oracle_check_andre(word, labels):
+    check_motzkin(word)
+    hs = heights(word)
+    if any(s == "L" and hs[i] % 2 for i, s in enumerate(word)):
+        raise ValueError("level step at odd height")
+    _oracle_down_labels(word, labels)
+
+
+def oracle_tree(sigma):
+    def build(lo, hi):
+        if lo > hi:
+            return None
+        i = min(range(lo, hi + 1), key=sigma.__getitem__)
+        return (sigma[i], build(lo, i - 1), build(i + 1, hi))
+
+    return build(0, len(sigma) - 1)
+
+
+def oracle_history(sigma):
+    """
+    The history read off sigma directly: vertex v has a left (right)
+    child iff its left (right) neighbour is larger, and the open slots
+    before v are the maximal runs of entries >= v that end left of it.
+    """
+    pos = {v: i for i, v in enumerate(sigma)}
+    steps, labels = [], []
+    for v in range(1, len(sigma)):
+        i = pos[v]
+        has_l = i > 0 and sigma[i - 1] > v
+        has_r = i + 1 < len(sigma) and sigma[i + 1] > v
+        steps.append({(True, True): "U", (True, False): "L1",
+                      (False, True): "L2", (False, False): "D"}[(has_l, has_r)])
+        labels.append(sum(1 for j in range(i + 1)
+                          if sigma[j] >= v and (j == 0 or sigma[j - 1] < v)))
+    return LaguerreHistory(tuple(steps), tuple(labels))
+
+
+def _raises(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def test_tree_matches_recursive_oracle():
+    from invpat.bijections import increasing_tree
+
+    for n in range(0, 9):
+        for sigma in permutations(range(1, n + 1)):
+            assert increasing_tree(sigma) == oracle_tree(sigma)
+            if n:
+                assert perm_to_history(sigma) == oracle_history(sigma)
+
+
+def test_path_validators_match_multipass_oracle():
+    from itertools import product
+
+    cases = 0
+    for length in range(0, 7):
+        for word in map("".join, product("UDLX", repeat=length)):
+            d = word.count("D")
+            for size in range(max(d - 1, 0), d + 2):
+                for labels in product(range(4), repeat=size):
+                    cases += 1
+                    assert _raises(check_labeled_dyck, LabeledDyck(word, labels)) == \
+                        _raises(oracle_check_labeled_dyck, word, labels), (word, labels)
+                    assert _raises(check_andre, AndrePath(word, labels)) == \
+                        _raises(oracle_check_andre, word, labels), (word, labels)
+    assert cases > 500_000
 
 
 def test_doctests():
@@ -40,6 +137,23 @@ def test_path_validation():
     with pytest.raises(ValueError):
         check_history(LaguerreHistory(("U", "D"), (2, 1)))  # first bound is 1
     check_history(LaguerreHistory(("U", "D"), (1, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: history_to_perm(LaguerreHistory(("L1",), (1.0,))),
+    lambda: andre_to_involution(AndrePath("UD", (1.0,))),
+    lambda: check_andre(AndrePath("UD", ("1",))),
+], ids=["history_float", "andre_float", "andre_str"])
+def test_non_int_labels_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_generators_reject_negative_size():
+    for gen in (iter_motzkin_words, iter_dyck_words, iter_labeled_dyck,
+                iter_andre_paths, iter_laguerre_histories):
+        with pytest.raises(ValueError):
+            list(gen(-1))
 
 
 def test_motzkin_dyck_counts():
@@ -148,8 +262,6 @@ def test_label_conservation():
 def test_level_stripping_preserves_height_label_pairs():
     # removing level steps moves no down step to a different height, so
     # the (height descended from, label) multiset is untouched
-    from invpat.bijections import heights
-
     def down_profile(word, labels):
         hs = heights(word)
         downs = [i for i, s in enumerate(word) if s == "D"]
