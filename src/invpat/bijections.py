@@ -37,22 +37,27 @@ The maps:
 
 Cost: each map validates its input in one pass (the two labeled path
 types share one validator), builds its tree in linear time with one
-stack pass into a flat child array, and moves labels through lists
-indexed by step position.  The open-slot list of the insertion history
-is kept as a Python list, whose C-level index and splice are the only
-steps that grow with the number of open slots.
+stack pass into a flat child array, and carries the labels of open U
+steps on a stack between the Dyck path and the history.  The open-slot
+list of the insertion history is kept as a Python list, whose C-level
+index and splice are the only steps that grow with the number of open
+slots.  ``involution_to_andre`` rules out 132 by checking that the
+openers come first, in the same pass that reads the composition and the
+closers.  ``history_to_perm``, ``dyck_to_history``, ``history_to_dyck``
+and ``insert_level_steps`` validate their input (and, but for the
+first, their output) around a private core; the composites call the
+cores where the previous step has just validated the same object, and
+so skip three re-checks per round trip: the labeled Dyck path entering
+``insert_level_steps`` and ``dyck_to_history``, and the history
+entering ``history_to_perm``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
 
-from .containment import Mode, _compile_pattern, _embed
 from .core import (Perm, check_involution, check_permutation, fixed_points,
-                   inverse, skew_sum, standardize, two_cycles)
-
-# compiled once: involution_to_andre guards every call with it
-_PATTERN_132 = _compile_pattern((1, 3, 2), Mode.I)
+                   inverse, lr_minima, skew_sum, standardize, two_cycles)
 
 # ---------------------------------------------------------------------------
 # path types
@@ -293,12 +298,9 @@ def iter_laguerre_histories(n: int) -> Iterator[LaguerreHistory]:
 
 
 def _has_independent_pair(tau: Perm) -> bool:
-    best = None
-    for a, b in sorted(two_cycles(tau) + [(f, f) for f in fixed_points(tau)]):
-        if best is not None and best < a:
-            return True
-        best = b if best is None else min(best, b)
-    return False
+    # some cycle has a whole cycle to its left iff not every cycle is a
+    # left-to-right minimum; an involution with t 2-cycles has n - t cycles
+    return len(lr_minima(tau)[0]) < len(tau) - len(two_cycles(tau))
 
 
 def skew_half(tau: Perm) -> Perm:
@@ -421,7 +423,10 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     >>> history_to_perm(LaguerreHistory(('L1',), (1,)))
     (2, 1)
     """
-    lh = check_history(lh)
+    return _history_to_perm(check_history(lh))
+
+
+def _history_to_perm(lh: LaguerreHistory) -> Perm:
     n = len(lh.steps)
     kids = [0] * (2 * n + 4)
     # open slots in in-order; a valid history keeps h + 1 of them at
@@ -457,24 +462,6 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
 # labeled Dyck paths <-> histories
 
 
-def _pairs(word: str) -> list[str]:
-    """History steps read from the step pairs M_2M_3, M_4M_5, ..."""
-    kind = {"UU": "U", "DD": "D", "UD": "L1", "DU": "L2"}
-    return [kind[word[2 * i - 1] + word[2 * i]] for i in range(1, len(word) // 2)]
-
-
-def _match_downs(steps) -> list[int]:
-    """At each U index (0-based) the index of the D returning to its start height."""
-    stack: list[int] = []
-    match = [0] * len(steps)
-    for i, s in enumerate(steps):
-        if s == "U":
-            stack.append(i)
-        elif s == "D":
-            match[stack.pop()] = i
-    return match
-
-
 def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     """
     Histories from labeled Dyck paths of one larger half-length.  The
@@ -486,27 +473,33 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     >>> str(dyck_to_history(LabeledDyck("UUDUUDDDUD", (1, 2, 1, 1, 1))))
     "L',U,D,L'' (1,1,2,1)"
     """
-    ldp = check_labeled_dyck(ldp)
+    return check_history(_dyck_to_history(check_labeled_dyck(ldp)))
+
+
+def _dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     word = ldp.word
     if not word:
         raise ValueError("need half-length at least 1")
-    # mu[i]: the label of the down step at word position i
-    mu = [0] * len(word)
-    it = iter(ldp.down_labels)
-    for i, s in enumerate(word):
-        if s == "D":
-            mu[i] = next(it)
-    steps = _pairs(word)
-    match = _match_downs(steps)
+    downs = iter(ldp.down_labels)
+    steps: list[str] = []
     labels: list[int] = []
-    for i, s in enumerate(steps):
-        if s == "U":
-            labels.append(mu[2 * match[i] + 2])
-        elif s == "L1":
-            labels.append(mu[2 * i + 2])
+    # label indices of the U pairs whose D pair is still to come; in a
+    # valid Dyck word every D pair has one
+    waiting: list[int] = []
+    for i in range(1, len(word) - 1, 2):
+        pair = word[i:i + 2]
+        if pair == "UU":
+            waiting.append(len(labels))
+            steps.append("U")
+            labels.append(0)
+        elif pair == "DD":
+            steps.append("D")
+            labels.append(next(downs))
+            labels[waiting.pop()] = next(downs)
         else:
-            labels.append(mu[2 * i + 1])
-    return check_history(LaguerreHistory(tuple(steps), tuple(labels)))
+            steps.append("L1" if pair == "UD" else "L2")
+            labels.append(next(downs))
+    return LaguerreHistory(tuple(steps), tuple(labels))
 
 
 def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
@@ -516,23 +509,28 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     >>> history_to_dyck(LaguerreHistory((), ())).word
     'UD'
     """
-    lh = check_history(lh)
-    n = len(lh.steps)
-    body = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
-    word = "U" + "".join(body[s] for s in lh.steps) + "D"
-    match = _match_downs(lh.steps)
-    # mu[i]: the label of the down step at word position i
-    mu = [0] * (2 * n + 2)
-    mu[2 * n + 1] = 1
-    for i, (s, lab) in enumerate(zip(lh.steps, lh.labels)):
+    return check_labeled_dyck(_history_to_dyck(check_history(lh)))
+
+
+_PAIR = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
+
+
+def _history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
+    downs: list[int] = []
+    # labels of the U steps not yet closed; a valid history never closes
+    # more than it opened
+    waiting: list[int] = []
+    for s, lab in zip(lh.steps, lh.labels):
         if s == "U":
-            mu[2 * match[i] + 2] = lab
-        elif s == "L1":
-            mu[2 * i + 2] = lab
+            waiting.append(lab)
+        elif s == "D":
+            downs.append(lab)
+            downs.append(waiting.pop())
         else:
-            mu[2 * i + 1] = lab
-    downs = tuple(lab for lab, s in zip(mu, word) if s == "D")
-    return check_labeled_dyck(LabeledDyck(word, downs))
+            downs.append(lab)
+    downs.append(1)
+    word = "U" + "".join(map(_PAIR.__getitem__, lh.steps)) + "D"
+    return LabeledDyck(word, tuple(downs))
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +548,13 @@ def strip_level_steps(ap: AndrePath) -> tuple[tuple[int, ...], LabeledDyck]:
     """
     ap = check_andre(ap)
     dyck = ap.word.replace("L", "")
-    k, rem = divmod(len(dyck), 2)
-    assert rem == 0
-    comp = [0] * (k + 1)
+    # check_andre makes the Dyck steps return to height 0, so there is an
+    # even number of them, and puts every L at even height, so an even
+    # number of them precedes each L
+    comp = [0] * (len(dyck) // 2 + 1)
     seen = 0
     for s in ap.word:
         if s == "L":
-            assert seen % 2 == 0
             comp[seen // 2] += 1
         else:
             seen += 1
@@ -571,15 +569,18 @@ def insert_level_steps(comp: tuple[int, ...], ldp: LabeledDyck) -> AndrePath:
     >>> insert_level_steps((0, 2), LabeledDyck("UD", (1,))).word
     'UDLL'
     """
-    ldp = check_labeled_dyck(ldp)
+    return check_andre(_insert_level_steps(comp, check_labeled_dyck(ldp)))
+
+
+def _insert_level_steps(comp: tuple[int, ...], ldp: LabeledDyck) -> AndrePath:
     k = ldp.half_length
-    if len(comp) != k + 1 or any(y < 0 for y in comp):
-        raise ValueError(f"composition must have {k + 1} nonnegative parts")
+    if len(comp) != k + 1 or not all(isinstance(y, int) and y >= 0 for y in comp):
+        raise ValueError(f"composition must have {k + 1} nonnegative int parts")
     out = ["L" * comp[0]]
     for i in range(k):
         out.append(ldp.word[2 * i:2 * i + 2])
         out.append("L" * comp[i + 1])
-    return check_andre(AndrePath("".join(out), ldp.down_labels))
+    return AndrePath("".join(out), ldp.down_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +613,8 @@ def insert_fixed_points(rho: Perm, positions: tuple[int, ...]) -> Perm:
     rho = check_fpf(rho)
     n = len(rho) + len(positions)
     spots = set(positions)
-    if len(spots) != len(positions) or not all(1 <= p <= n for p in positions):
+    if len(spots) != len(positions) or \
+            not all(isinstance(p, int) and 1 <= p <= n for p in positions):
         raise ValueError("fixed-point positions out of range or repeated")
     rest = [p for p in range(1, n + 1) if p not in spots]
     out = [0] * n
@@ -628,34 +630,42 @@ def involution_to_andre(tau: Perm) -> AndrePath:
     The composite bijection from 132-avoiding involutions to even-level
     paths of the same length; level steps count fixed points.
 
+    With k 2-cycles, tau avoids 132 in the deletion order ``I`` iff
+    positions 1..k are all openers.  If some p <= k is not an opener,
+    some opener a > k is left over, with 2-cycle (a, b): a fixed point p
+    gives 132 with it directly, and a closer p of (c, p) has nothing
+    strictly inside it that is kept, so it squashes to a fixed point.
+    Conversely, every fixed point and every closer then lies right of
+    every opener, and a squashed 2-cycle must lie wholly left of the
+    2-cycle it meets, so no fixed-point unit lies left of any opener.
+
     >>> involution_to_andre((1, 2, 3)).word
     'LLL'
     >>> str(involution_to_andre((2, 1)))
     'UD (1)'
     """
     tau = check_involution(tau)
-    cyc = two_cycles(tau)
-    if _embed(cyc, fixed_points(tau), _PATTERN_132, allow_fix=True, allow_collapse=True):
-        raise ValueError("involution contains 132 in the deletion order")
-    k = len(cyc)
-    # openers first, then closers and fixed points interleaved; a fixed
-    # point joins the block after the closers to its left
-    assert all(a <= k for a, _ in cyc)
+    n = len(tau)
+    k = 0
+    while k < n and tau[k] > k + 1:
+        k += 1
+    # past the leading openers only closers and fixed points may follow;
+    # a fixed point joins the block after the closers to its left, and
+    # the closer values in position order are the matching's second half,
+    # a permutation of 1..k
     comp = [0] * (k + 1)
-    closed = 0
-    for p, v in enumerate(tau, 1):
+    sigma: list[int] = []
+    for p in range(k + 1, n + 1):
+        v = tau[p - 1]
+        if v > p:
+            raise ValueError("involution contains 132 in the deletion order")
         if v == p:
-            comp[closed] += 1
-        elif v < p:
-            closed += 1
-    if k == 0:
-        return insert_level_steps(tuple(comp), LabeledDyck("", ()))
-    # the matching's second half: closer values in position order,
-    # already a permutation of 1..k because the openers sit first
-    sigma = tuple(v for p, v in enumerate(tau, 1) if v < p)
-    lh = perm_to_history(sigma)
-    ldp = history_to_dyck(lh)
-    return insert_level_steps(tuple(comp), ldp)
+            comp[len(sigma)] += 1
+        else:
+            sigma.append(v)
+    ldp = history_to_dyck(perm_to_history(tuple(sigma))) if k else LabeledDyck("", ())
+    # history_to_dyck has just validated ldp
+    return check_andre(_insert_level_steps(tuple(comp), ldp))
 
 
 def andre_to_involution(ap: AndrePath) -> Perm:
@@ -667,25 +677,19 @@ def andre_to_involution(ap: AndrePath) -> Perm:
     """
     comp, ldp = strip_level_steps(ap)
     k = ldp.half_length
-    n = len(ap.word)
-    if k == 0:
-        return tuple(range(1, n + 1))
-    sigma = history_to_perm(dyck_to_history(ldp))
-    rho = from_skew_half(sigma, odd=False)
-    # closer slots: after the k openers, y_0 fixed points, closer, y_1
-    # fixed points, closer, ...
-    out = [0] * n
+    # strip_level_steps has just validated ldp, and check_history
+    # validates the history that _history_to_perm reads
+    sigma = _history_to_perm(check_history(_dyck_to_history(ldp))) if k else ()
+    # the matching's lower-right block: the opener of the j-th closer
+    # is sigma[j]
+    sigma = check_permutation(sigma)
+    # closers sit after the k openers, y_0 fixed points, closer, y_1
+    # fixed points, closer, ...; every other position is a fixed point
+    out = list(range(1, len(ap.word) + 1))
     pos = k
-    slots: list[int] = []
-    for i in range(k):
-        pos += comp[i]
-        pos += 1
-        slots.append(pos)
     for j in range(k):
-        opener = rho[k + j]
-        out[slots[j] - 1] = opener
-        out[opener - 1] = slots[j]
-    for p in range(1, n + 1):
-        if not out[p - 1]:
-            out[p - 1] = p
+        pos += comp[j] + 1
+        opener = sigma[j]
+        out[pos - 1] = opener
+        out[opener - 1] = pos
     return check_involution(tuple(out))

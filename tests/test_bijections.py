@@ -18,8 +18,9 @@ from invpat.bijections import (AndrePath, LabeledDyck, LaguerreHistory,
                                perm_to_history, remove_fixed_points,
                                skew_half, strip_level_steps)
 from invpat.classes import PatternSet, class_members
-from invpat.containment import Mode
-from invpat.core import fixed_points, generate_involutions
+from invpat.containment import Mode, _compile_pattern, _embed, contains
+from invpat.core import (check_involution, fixed_points, generate_involutions,
+                         two_cycles)
 from invpat.enumeration import formula_pattern132
 
 
@@ -92,6 +93,128 @@ def _raises(check, *args):
     return False
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+# the earlier bijection chain: the public maps composed, the 132 guard
+# as an embedding search, and labels moved through match arrays
+
+
+def oracle_has_independent_pair(tau):
+    best = None
+    for a, b in sorted(two_cycles(tau) + [(f, f) for f in fixed_points(tau)]):
+        if best is not None and best < a:
+            return True
+        best = b if best is None else min(best, b)
+    return False
+
+
+def oracle_pairs(word):
+    kind = {"UU": "U", "DD": "D", "UD": "L1", "DU": "L2"}
+    return [kind[word[2 * i - 1] + word[2 * i]] for i in range(1, len(word) // 2)]
+
+
+def oracle_match_downs(steps):
+    stack = []
+    match = [0] * len(steps)
+    for i, s in enumerate(steps):
+        if s == "U":
+            stack.append(i)
+        elif s == "D":
+            match[stack.pop()] = i
+    return match
+
+
+def oracle_dyck_to_history(ldp):
+    ldp = check_labeled_dyck(ldp)
+    word = ldp.word
+    if not word:
+        raise ValueError("need half-length at least 1")
+    mu = [0] * len(word)
+    it = iter(ldp.down_labels)
+    for i, s in enumerate(word):
+        if s == "D":
+            mu[i] = next(it)
+    steps = oracle_pairs(word)
+    match = oracle_match_downs(steps)
+    labels = []
+    for i, s in enumerate(steps):
+        if s == "U":
+            labels.append(mu[2 * match[i] + 2])
+        elif s == "L1":
+            labels.append(mu[2 * i + 2])
+        else:
+            labels.append(mu[2 * i + 1])
+    return check_history(LaguerreHistory(tuple(steps), tuple(labels)))
+
+
+def oracle_history_to_dyck(lh):
+    lh = check_history(lh)
+    n = len(lh.steps)
+    body = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
+    word = "U" + "".join(body[s] for s in lh.steps) + "D"
+    match = oracle_match_downs(lh.steps)
+    mu = [0] * (2 * n + 2)
+    mu[2 * n + 1] = 1
+    for i, (s, lab) in enumerate(zip(lh.steps, lh.labels)):
+        if s == "U":
+            mu[2 * match[i] + 2] = lab
+        elif s == "L1":
+            mu[2 * i + 2] = lab
+        else:
+            mu[2 * i + 1] = lab
+    downs = tuple(lab for lab, s in zip(mu, word) if s == "D")
+    return check_labeled_dyck(LabeledDyck(word, downs))
+
+
+_ORACLE_132 = _compile_pattern((1, 3, 2), Mode.I)
+
+
+def oracle_involution_to_andre(tau):
+    tau = check_involution(tau)
+    cyc = two_cycles(tau)
+    if _embed(cyc, fixed_points(tau), _ORACLE_132, allow_fix=True, allow_collapse=True):
+        raise ValueError("involution contains 132 in the deletion order")
+    k = len(cyc)
+    comp = [0] * (k + 1)
+    closed = 0
+    for p, v in enumerate(tau, 1):
+        if v == p:
+            comp[closed] += 1
+        elif v < p:
+            closed += 1
+    if k == 0:
+        return insert_level_steps(tuple(comp), LabeledDyck("", ()))
+    sigma = tuple(v for p, v in enumerate(tau, 1) if v < p)
+    ldp = oracle_history_to_dyck(perm_to_history(sigma))
+    return insert_level_steps(tuple(comp), ldp)
+
+
+def oracle_andre_to_involution(ap):
+    comp, ldp = strip_level_steps(ap)
+    k = ldp.half_length
+    n = len(ap.word)
+    if k == 0:
+        return tuple(range(1, n + 1))
+    sigma = history_to_perm(oracle_dyck_to_history(ldp))
+    rho = from_skew_half(sigma, odd=False)
+    out = [0] * n
+    pos = k
+    for j in range(k):
+        pos += comp[j] + 1
+        opener = rho[k + j]
+        out[pos - 1] = opener
+        out[opener - 1] = pos
+    for p in range(1, n + 1):
+        if not out[p - 1]:
+            out[p - 1] = p
+    return check_involution(tuple(out))
+
+
 def test_tree_matches_recursive_oracle():
     from invpat.bijections import increasing_tree
 
@@ -119,6 +242,51 @@ def test_path_validators_match_multipass_oracle():
     assert cases > 500_000
 
 
+def test_132_guard_matches_reference():
+    for n in range(0, 10):
+        for tau in generate_involutions(n):
+            assert _raises(involution_to_andre, tau) == \
+                contains(tau, (1, 3, 2), Mode.I), tau
+
+
+def test_composites_match_oracle_chain():
+    from itertools import product
+
+    for n in range(0, 10):
+        for tau in generate_involutions(n):
+            assert _outcome(involution_to_andre, tau) == \
+                _outcome(oracle_involution_to_andre, tau), tau
+    for length in range(0, 7):
+        for word in map("".join, product("UDLX", repeat=length)):
+            d = word.count("D")
+            for size in range(max(d - 1, 0), d + 2):
+                for labels in product(range(4), repeat=size):
+                    ap = AndrePath(word, labels)
+                    assert _outcome(andre_to_involution, ap) == \
+                        _outcome(oracle_andre_to_involution, ap), ap
+    for n in range(0, 13):
+        for ap in iter_andre_paths(n):
+            tau = andre_to_involution(ap)
+            assert tau == oracle_andre_to_involution(ap)
+            assert involution_to_andre(tau) == oracle_involution_to_andre(tau) == ap
+
+
+def test_label_transport_matches_oracle():
+    for half in range(0, 8):
+        for ldp in iter_labeled_dyck(half):
+            lh = _outcome(dyck_to_history, ldp)
+            assert lh == _outcome(oracle_dyck_to_history, ldp), ldp
+            if lh is not ValueError:
+                assert history_to_dyck(lh) == oracle_history_to_dyck(lh) == ldp
+
+
+def test_independent_pair_matches_oracle():
+    for n in range(0, 11):
+        for tau in generate_involutions(n):
+            assert bijections._has_independent_pair(tau) == \
+                oracle_has_independent_pair(tau), tau
+
+
 def test_doctests():
     assert doctest.testmod(bijections, verbose=False).failed == 0
 
@@ -143,7 +311,11 @@ def test_path_validation():
     lambda: history_to_perm(LaguerreHistory(("L1",), (1.0,))),
     lambda: andre_to_involution(AndrePath("UD", (1.0,))),
     lambda: check_andre(AndrePath("UD", ("1",))),
-], ids=["history_float", "andre_float", "andre_str"])
+    lambda: insert_level_steps((1.0,), LabeledDyck("", ())),
+    lambda: insert_level_steps(("a",), LabeledDyck("", ())),
+    lambda: insert_fixed_points((), (1.0,)),
+], ids=["history_float", "andre_float", "andre_str", "level_part_float",
+        "level_part_str", "fixed_point_float"])
 def test_non_int_labels_rejected(call):
     with pytest.raises(ValueError):
         call()
