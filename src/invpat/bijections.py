@@ -194,9 +194,19 @@ def check_history(lh: LaguerreHistory) -> LaguerreHistory:
 # exhaustive generators (tests lean on these)
 
 
-def iter_motzkin_words(n: int, level_even_only: bool = False) -> Iterator[str]:
+def iter_motzkin_words(n: int, levels: str = "any") -> Iterator[str]:
+    """
+    Motzkin words of length n over D, L, U, in lexicographic order.
+
+    ``levels`` says where level steps may sit: ``"any"``, ``"even"`` (even
+    heights only, the André paths) or ``"none"`` (Dyck words).
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
+    if levels not in ("any", "even", "none"):
+        raise ValueError(f"levels must be 'any', 'even' or 'none', got {levels!r}")
+    steps = "DU" if levels == "none" else "DLU"
+    even_only = levels == "even"
     word: list[str] = []
 
     def rec(h: int, left: int) -> Iterator[str]:
@@ -206,10 +216,10 @@ def iter_motzkin_words(n: int, level_even_only: bool = False) -> Iterator[str]:
             return
         if h > left:
             return
-        for s in "DLU":
+        for s in steps:
             if s == "D" and h == 0:
                 continue
-            if s == "L" and level_even_only and h % 2:
+            if s == "L" and even_only and h % 2:
                 continue
             word.append(s)
             yield from rec(h + (s == "U") - (s == "D"), left - 1)
@@ -219,26 +229,7 @@ def iter_motzkin_words(n: int, level_even_only: bool = False) -> Iterator[str]:
 
 
 def iter_dyck_words(half: int) -> Iterator[str]:
-    if half < 0:
-        raise ValueError("size must be nonnegative")
-    word: list[str] = []
-    n = 2 * half
-
-    def rec(h: int, left: int) -> Iterator[str]:
-        if left == 0:
-            if h == 0:
-                yield "".join(word)
-            return
-        if h > left:
-            return
-        for s in "DU":
-            if s == "D" and h == 0:
-                continue
-            word.append(s)
-            yield from rec(h + 1 if s == "U" else h - 1, left - 1)
-            word.pop()
-
-    yield from rec(0, n)
+    return iter_motzkin_words(2 * half, levels="none")
 
 
 def _label_choices(word: str) -> Iterator[tuple[int, ...]]:
@@ -262,7 +253,7 @@ def iter_labeled_dyck(half: int) -> Iterator[LabeledDyck]:
 
 
 def iter_andre_paths(n: int) -> Iterator[AndrePath]:
-    for word in iter_motzkin_words(n, level_even_only=True):
+    for word in iter_motzkin_words(n, levels="even"):
         for labels in _label_choices(word):
             yield AndrePath(word, labels)
 

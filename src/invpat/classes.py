@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .containment import (Mode, PatternChecker, _iter_images,
+# one_step_down, generate_involutions and generate_fpf stay importable
+# here: bench/tracing.py wraps them by name
+from .containment import (Mode, PatternChecker, _iter_images,  # noqa: F401
                           check_for_mode, one_step_down)
-# generate_involutions and generate_fpf stay importable here:
-# bench/tracing.py wraps them by name
 from .core import (Perm, format_cycles, format_perm, generate_fpf,  # noqa: F401
                    generate_involutions, is_fpf)
 
@@ -142,25 +142,6 @@ def class_members(ps: PatternSet, ambient_mode: Mode, n: int) -> set[Perm]:
     for _, members in avoider_levels(ps, ambient_mode, n):
         pass
     return set(members)
-
-
-def is_minimal_violator(tau: Perm, pi: PatternSet, ambient: Mode) -> bool:
-    """
-    True if tau classically contains a pattern of pi while every one-step
-    deletion image (in the ambient order) avoids all of them.
-
-    >>> is_minimal_violator((4, 3, 2, 1), PatternSet([(3, 2, 1)], Mode.CLASSICAL), Mode.F)
-    True
-    >>> is_minimal_violator((5, 4, 3, 2, 1), PatternSet([(3, 2, 1)], Mode.CLASSICAL), Mode.I)
-    False
-    """
-    if pi.mode is not Mode.CLASSICAL:
-        raise ValueError("violated set must be classical")
-    tau = check_for_mode(tau, ambient)
-    checker = PatternChecker(pi.patterns, Mode.CLASSICAL)
-    if not checker.contains_any(tau):
-        return False
-    return all(not checker.contains_any(img) for img in one_step_down(tau, ambient))
 
 
 @dataclass

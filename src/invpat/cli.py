@@ -57,11 +57,15 @@ def _read_patterns(args) -> list:
             if chunk:
                 pats.append(parse_perm(chunk))
     if getattr(args, "patterns_file", None):
-        with open(args.patterns_file) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    pats.append(parse_perm(line))
+        try:
+            with open(args.patterns_file) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read --patterns-file: {exc}") from exc
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                pats.append(parse_perm(line))
     return pats
 
 

@@ -12,8 +12,11 @@ Four orders are supported, selected by :class:`Mode`:
 - ``F``: the restriction to fixed-point-free involutions, where only
   relation (1) applies.
 
-:func:`contains` walks the deletion order directly and is the reference
-implementation.  :func:`contains_fast` searches for an embedding
+The reference is one uncached breadth-first search of the deletion
+order (:func:`_reachable`): :func:`down_set` returns its full closure,
+and :func:`contains` looks for rho in the closure pruned below
+``len(rho)``.  No module-level cache holds down-sets between calls.
+:func:`contains_fast` searches for an embedding
 instead: choose 2-cycles of the haystack to keep, fixed points to keep,
 and (in ``I`` mode) 2-cycles to squash into fixed points, subject to no
 other chosen element sitting strictly inside a squashed cycle's
@@ -163,30 +166,32 @@ def one_step_down(tau: Perm, mode: Mode) -> set[Perm]:
     return set(_iter_images(tau, mode))
 
 
-_DOWN_SETS: dict[tuple[Perm, Mode], frozenset[Perm]] = {}
+def _reachable(tau: Perm, mode: Mode, floor: int) -> set[Perm]:
+    """Everything weakly below a valid tau in the deletion order, of size >= floor.
+
+    Breadth-first over :func:`_iter_images`: the loop reads ``todo`` while
+    appending to it, so it visits tau's down-set level by level.
+    """
+    seen = {tau}
+    todo = [tau]
+    for sigma in todo:
+        if len(sigma) > floor:
+            for img in _iter_images(sigma, mode):
+                if len(img) >= floor and img not in seen:
+                    seen.add(img)
+                    todo.append(img)
+    return seen
 
 
 def down_set(tau: Perm, mode: Mode) -> frozenset[Perm]:
     """Everything weakly below tau in the deletion order, tau included."""
-    tau = check_for_mode(tau, mode)
-    return _down_set(tau, mode)
-
-
-def _down_set(tau: Perm, mode: Mode) -> frozenset[Perm]:
-    key = (tau, mode)
-    cached = _DOWN_SETS.get(key)
-    if cached is None:
-        acc: set[Perm] = {tau}
-        for img in one_step_down(tau, mode):
-            acc |= _down_set(img, mode)
-        cached = _DOWN_SETS[key] = frozenset(acc)
-    return cached
+    return frozenset(_reachable(check_for_mode(tau, mode), mode, 0))
 
 
 def contains(tau: Perm, rho: Perm, mode: Mode) -> bool:
     """
-    Reference containment test: breadth-first walk of the deletion
-    order from tau, pruned below len(rho), with early exit.
+    Reference containment test: rho lies in tau's down-set, pruned below
+    len(rho).
 
     >>> contains((2, 1, 6, 4, 7, 3, 5, 8), (1, 4, 3, 2), Mode.I)
     True
@@ -197,24 +202,7 @@ def contains(tau: Perm, rho: Perm, mode: Mode) -> bool:
         return contains_classical(tau, rho)
     tau = check_for_mode(tau, mode)
     rho = check_for_mode(rho, mode)
-    m = len(rho)
-    if m > len(tau):
-        return False
-    frontier = {tau}
-    seen = {tau}
-    while frontier:
-        if rho in frontier:
-            return True
-        nxt: set[Perm] = set()
-        for sigma in frontier:
-            if len(sigma) <= m:
-                continue
-            for img in one_step_down(sigma, mode):
-                if len(img) >= m and img not in seen:
-                    seen.add(img)
-                    nxt.add(img)
-        frontier = nxt
-    return False
+    return len(rho) <= len(tau) and rho in _reachable(tau, mode, len(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +212,13 @@ def contains(tau: Perm, rho: Perm, mode: Mode) -> bool:
 def _compile_pattern(rho: Perm, mode: Mode):
     """Roles of the pattern's positions, openers carrying their closer's position."""
     rho = check_for_mode(rho, mode)
-    close_of = {}
-    for a, b in two_cycles(rho):
-        close_of[a] = b
     roles = []
     for i, v in enumerate(rho):
         p = i + 1
         if v == p:
             roles.append((0, 0))            # fixed point
         elif v > p:
-            roles.append((1, close_of[p]))  # opener, closes at position v
+            roles.append((1, v))            # opener, closes at position v
         else:
             roles.append((2, 0))            # closer
     return tuple(roles)
@@ -271,8 +256,11 @@ def _embed(tcyc, tfix, roles, allow_fix, allow_collapse) -> bool:
         cap = pending[0][1] if pending else None
 
         if kind == 2:
+            # pending[0] is this closer's cycle: pending is sorted by close
+            # position, and every close position at or below pos was popped
+            # on the way here.  And b > last: every unit placed after the
+            # opener was kept below the cap pending[0][1], which is at most b.
             j, b = pending[0]
-            assert j == pos + 1 and b > last
             del pending[0]
             if walk(pos + 1, b):
                 return True

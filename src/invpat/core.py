@@ -84,9 +84,17 @@ def is_involution(pi: Perm) -> bool:
 
 
 def check_involution(pi: Sequence[int]) -> Perm:
-    tau = check_permutation(pi)
-    if not is_involution(tau):
-        raise ValueError(f"not an involution: {tau!r}")
+    """
+    Return pi as a tuple, or raise ValueError if it is not an involution.
+
+    One pass: values in 1..n with ``pi(pi(i)) == i`` already make pi a
+    permutation, since pi(i) = pi(j) gives i = pi(pi(i)) = pi(pi(j)) = j.
+    """
+    tau = tuple(pi)
+    n = len(tau)
+    for i, v in enumerate(tau, 1):
+        if not (isinstance(v, int) and 1 <= v <= n and tau[v - 1] == i):
+            raise ValueError(f"not an involution: {tau!r}")
     return tau
 
 

@@ -4,7 +4,7 @@ import pytest
 
 import invpat.classes as classes
 from invpat.classes import (PatternSet, avoider_levels, class_members,
-                            compute_basis, is_minimal_violator)
+                            compute_basis)
 from invpat.containment import Mode, PatternChecker, contains_classical, down_set
 from invpat.core import parse_perm
 from conftest import involution_count_oracle
@@ -150,13 +150,6 @@ def test_bound_validation_and_report_surface():
     rows = report.to_rows()
     assert rows[0] == "size\tone_line\tcycle_form"
     assert "4\t4321\t(1,4)(2,3)" in rows
-
-
-def test_is_minimal_violator_examples():
-    p321 = PatternSet([(3, 2, 1)], Mode.CLASSICAL)
-    assert is_minimal_violator((4, 3, 2, 1), p321, Mode.F)
-    assert is_minimal_violator((3, 2, 1), p321, Mode.I)
-    assert not is_minimal_violator((5, 4, 3, 2, 1), p321, Mode.I)
 
 
 def test_basis_elements_form_antichain():

@@ -85,6 +85,17 @@ def test_basis_pattern_file(tmp_path, capsys):
     assert status == 0 and "321" in out
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("count", ["--to", "3"]),
+    ("basis", ["--ambient", "I"]),
+])
+def test_missing_patterns_file_is_a_usage_error(tmp_path, capsys, command, extra):
+    missing = tmp_path / "missing.txt"
+    status, out, err = run(capsys, command, "--patterns-file", str(missing), *extra)
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
 def test_basis_errors(capsys):
     status, _, err = run(capsys, "basis", "--patterns", "", "--ambient", "I")
     assert status == 2 and "at least one pattern" in err

@@ -137,6 +137,44 @@ def test_mode_coarseness(involutions_by_size, matchings_by_size):
             assert fdown <= idown
 
 
+def _recursive_down_set(tau, mode, memo):
+    """The earlier reference: a recursion over one-step images, memoised in memo."""
+    got = memo.get(tau)
+    if got is None:
+        acc = {tau}
+        for img in one_step_down(tau, mode):
+            acc |= _recursive_down_set(img, mode, memo)
+        got = memo[tau] = frozenset(acc)
+    return got
+
+
+def _pools(involutions_by_size, matchings_by_size, top):
+    involutions = [t for n in range(top + 1) for t in involutions_by_size[n]]
+    matchings = [t for n, pool in matchings_by_size.items() if n <= top for t in pool]
+    return ((Mode.I, involutions), (Mode.IPRIME, involutions), (Mode.F, matchings))
+
+
+def test_down_set_matches_recursive_oracle(involutions_by_size, matchings_by_size):
+    for mode, pool in _pools(involutions_by_size, matchings_by_size, 8):
+        memo = {}
+        for tau in pool:
+            assert down_set(tau, mode) == _recursive_down_set(tau, mode, memo)
+
+
+def test_contains_matches_recursive_oracle(involutions_by_size, matchings_by_size):
+    for mode, pool in _pools(involutions_by_size, matchings_by_size, 7):
+        memo = {}
+        for tau in pool:
+            below = _recursive_down_set(tau, mode, memo)
+            for rho in pool:
+                assert contains(tau, rho, mode) == (rho in below)
+    for bad, mode in (((1, 2), Mode.F), ((2, 3, 1), Mode.I), ((1.0,), Mode.IPRIME)):
+        for call in (lambda: down_set(bad, mode), lambda: contains(bad, (), mode),
+                     lambda: contains((), bad, mode)):
+            with pytest.raises(ValueError):
+                call()
+
+
 def test_embedding_matches_reference_small(involutions_by_size):
     # the exhaustive size-8 sweep lives in the acceptance suite; this is
     # the fast development check

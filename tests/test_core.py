@@ -71,6 +71,39 @@ def test_cycles_examples():
         cycles((2, 3, 1))
 
 
+def _two_pass_check_involution(pi):
+    """The earlier validator: a permutation check, then an involution check."""
+    n = len(pi)
+    seen = [False] * (n + 1)
+    for v in pi:
+        if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+            raise ValueError(f"not a permutation of 1..n: {pi!r}")
+        seen[v] = True
+    if not all(pi[v - 1] == i + 1 for i, v in enumerate(pi)):
+        raise ValueError(f"not an involution: {pi!r}")
+    return tuple(pi)
+
+
+def test_check_involution_matches_two_pass_oracle():
+    # every word of length <= 5 over -1..n+1 plus three look-alikes of 1
+    # (a float, a str and a bool), then every word of length 6 over 1..6
+    from itertools import product
+
+    def verdict(check, word):
+        try:
+            return check(word)
+        except ValueError:
+            return ValueError
+
+    words = [w for n in range(6)
+             for w in product([*range(-1, n + 2), 1.0, "1", True], repeat=n)]
+    words += product(range(1, 7), repeat=6)
+    for word in words:
+        # repr tells (True,) from (1,)
+        assert repr(verdict(core.check_involution, word)) == \
+            repr(verdict(_two_pass_check_involution, word)), word
+
+
 def test_generators_counts_and_invariants(involutions_by_size, matchings_by_size):
     for n, pool in involutions_by_size.items():
         assert len(pool) == len(set(pool))
