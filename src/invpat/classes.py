@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 # one_step_down, generate_involutions and generate_fpf stay importable
 # here: bench/tracing.py wraps them by name
-from .containment import (Mode, PatternChecker, _iter_images,  # noqa: F401
-                          check_for_mode, one_step_down)
+from .containment import (Mode, _iter_images, check_for_mode,  # noqa: F401
+                          closed_classical_check, one_step_down)
 from .core import (Perm, format_cycles, format_perm, generate_fpf,  # noqa: F401
                    generate_involutions, is_fpf)
 
@@ -64,6 +64,15 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     are appended to ``violators`` if given.  Below the smallest pattern
     size every candidate is a member, so no check runs there.
 
+    A classical set is checked only where a pattern can still occur.
+    Every candidate that reaches the check is closed, so its one-step
+    images all avoid the patterns; deleting a *unit* (a fixed point or a
+    2-cycle) is a one-step deletion in every order, so an occurrence of p
+    that missed a unit would survive into an image.  Every occurrence
+    therefore touches every unit, and p is tried only on candidates with
+    at most |p| units (:func:`invpat.containment.closed_classical_check`):
+    none above twice the largest pattern size is searched.
+
     Only two levels are held.  Levels below ``max_size`` are sets; the
     top level is an iterator that grows its members as it is consumed,
     never stored.  A deletion-order set read in the matchings is grown
@@ -82,7 +91,7 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         raise ValueError("size must be nonnegative")
     if ps.mode is Mode.CLASSICAL:
         order = ambient
-        excluded = PatternChecker(ps.patterns, Mode.CLASSICAL).contains_any
+        excluded = closed_classical_check(ps.patterns)
     elif ps.mode is Mode.F and ambient is not Mode.F:
         raise ValueError("F-mode pattern sets only filter matchings")
     else:

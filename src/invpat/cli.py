@@ -25,29 +25,11 @@ import sys
 from .classes import PatternSet, compute_basis
 from .containment import Mode
 from .core import format_perm, parse_perm
-from .enumeration import (count_table, check_corollary_stanley,
+from .enumeration import (FORMULAS, count_table, check_corollary_stanley,
                           check_fixed_point_identity, check_recurrence_132,
                           d_series, egf_identity_report,
-                          format_count_comparison, formula_pattern123,
-                          formula_pattern132, formula_pattern2143,
-                          formula_pattern321, involution_count, matching_count)
-
-def _half_factorial(n: int) -> int:
-    from math import factorial
-
-    return factorial(n // 2)
-
-
-# closed forms on file, keyed by (pattern, containment order)
-FORMULAS = {
-    ((3, 2, 1), Mode.I): ("decreasing of size 3", formula_pattern321),
-    ((1, 3, 2), Mode.I): ("132 refinement at t=1", formula_pattern132),
-    ((2, 1, 3), Mode.I): ("213 via reverse-complement", formula_pattern132),
-    ((1, 2, 3), Mode.I): ("increasing of size 3", formula_pattern123),
-    ((2, 1, 4, 3), Mode.I): ("2143 closed form", formula_pattern2143),
-    ((2, 1, 4, 3), Mode.F): ("permutational matchings", _half_factorial),
-    ((1, 2), Mode.I): ("half factorial", _half_factorial),
-}
+                          format_count_comparison, formula_pattern132,
+                          involution_count, matching_count)
 
 
 def _read_patterns(args) -> list:

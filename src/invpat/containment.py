@@ -25,7 +25,10 @@ mode; the test suite enforces this exhaustively.
 
 Classical containment compiles each pattern once into the value window
 of each step (:func:`_compile_classical`) and places it depth-first;
-the tests compare it with a scan of every subsequence.
+the tests compare it with a scan of every subsequence.  A candidate
+whose one-step deletions all avoid the patterns classically can only
+contain a pattern with at least as many entries as it has units (fixed
+points and 2-cycles); :func:`closed_classical_check` runs only those.
 """
 from __future__ import annotations
 
@@ -115,7 +118,8 @@ def _search_classical(haystack: Perm, steps) -> bool:
 
 def contains_classical(haystack: Perm, pattern: Perm) -> bool:
     """
-    True if some subsequence of haystack standardizes to pattern.
+    True if some subsequence of haystack standardizes to pattern.  Neither
+    side is validated; :func:`contains` validates both.
 
     >>> contains_classical((2, 1, 6, 4, 7, 3, 5, 8), (3, 4, 1, 2))
     True
@@ -198,10 +202,10 @@ def contains(tau: Perm, rho: Perm, mode: Mode) -> bool:
     >>> contains((3, 4, 1, 2), (1, 2), Mode.I)
     False
     """
-    if mode is Mode.CLASSICAL:
-        return contains_classical(tau, rho)
     tau = check_for_mode(tau, mode)
     rho = check_for_mode(rho, mode)
+    if mode is Mode.CLASSICAL:
+        return contains_classical(tau, rho)
     return len(rho) <= len(tau) and rho in _reachable(tau, mode, len(rho))
 
 
@@ -330,9 +334,9 @@ def contains_fast(tau: Perm, rho: Perm, mode: Mode) -> bool:
     >>> contains_fast((6, 5, 8, 7, 2, 1, 4, 3), (2, 1, 4, 3), Mode.F)
     False
     """
-    if mode is Mode.CLASSICAL:
-        return contains_classical(tau, rho)
     tau = check_for_mode(tau, mode)
+    if mode is Mode.CLASSICAL:
+        return contains_classical(tau, check_for_mode(rho, mode))
     roles = _compile_pattern(rho, mode)
     if len(rho) > len(tau):
         return False
@@ -345,12 +349,14 @@ class PatternChecker:
     """
     Containment of a fixed pattern list against many haystacks, with the
     pattern compilation hoisted out of the loop.  Patterns are tried
-    smallest first.
+    smallest first.  The patterns are validated once, here; the haystacks
+    passed to :meth:`contains_any` are not.
     """
 
     def __init__(self, patterns, mode: Mode):
         self.mode = mode
-        self.patterns = tuple(sorted(patterns, key=lambda p: (len(p), p)))
+        self.patterns = tuple(sorted((check_for_mode(p, mode) for p in patterns),
+                                     key=lambda p: (len(p), p)))
         if mode is Mode.CLASSICAL:
             self._compiled = [_compile_classical(p) for p in self.patterns]
         else:
@@ -378,4 +384,39 @@ def avoids_all(tau: Perm, patterns, mode: Mode) -> bool:
     ...            [(2, 1, 4, 3), (4, 5, 6, 1, 2, 3)], Mode.F)
     True
     """
+    tau = check_for_mode(tau, mode)
     return not PatternChecker(patterns, mode).contains_any(tau)
+
+
+def closed_classical_check(patterns):
+    """
+    Classical ``contains_any`` for candidates whose one-step deletions
+    all avoid the patterns classically, with the patterns that cannot
+    occur left out.
+
+    A *unit* of an involution is a fixed point or a 2-cycle, and deleting
+    one is a one-step deletion in ``I``, ``IPRIME`` and ``F``.  If an
+    occurrence of p in such a candidate c left a unit untouched, deleting
+    that unit would keep the occurrence and give an image containing p.
+    So every occurrence touches every unit, and c contains p only if
+    units(c) <= |p|.  The returned test counts the units in one pass, the
+    positions i with tau(i) >= i, and runs the checker holding the
+    patterns of size >= units(c); a candidate with more units than the
+    largest pattern is not searched at all.  On any other haystack the
+    answer may be wrong: (1, 2, 3) contains 12, but so does its image
+    (1, 2).
+
+    >>> check = closed_classical_check([(1, 2), (3, 2, 1)])
+    >>> check((3, 2, 1)), check((1, 2)), check((1, 2, 3))
+    (True, True, False)
+    """
+    patterns = tuple(patterns)
+    largest = max((len(p) for p in patterns), default=0)
+    by_units = [PatternChecker([p for p in patterns if len(p) >= u], Mode.CLASSICAL)
+                for u in range(largest + 1)]
+
+    def contains_any(tau: Perm) -> bool:
+        units = sum(v > i for i, v in enumerate(tau))
+        return units <= largest and by_units[units].contains_any(tau)
+
+    return contains_any

@@ -7,7 +7,8 @@ binomials in play overflow 64 bits well inside the tested ranges.
 Counts of avoiders come from one pass of the level engine
 :func:`invpat.classes.avoider_levels`, which streams the top level
 instead of storing it, so each closed form can be compared against an
-exhaustive tally of every avoider.
+exhaustive tally of every avoider.  ``FORMULAS`` names the closed forms
+on file by (pattern, order); ``invpat count --formula`` reads it.
 """
 from __future__ import annotations
 
@@ -238,6 +239,22 @@ def formula_pattern2143(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return sum(comb(n, 2 * k) * factorial(k) for k in range(n // 2 + 1))
+
+
+def _half_factorial(n: int) -> int:
+    return factorial(n // 2)
+
+
+# closed forms on file, keyed by (pattern, containment order)
+FORMULAS = {
+    ((3, 2, 1), Mode.I): ("decreasing of size 3", formula_pattern321),
+    ((1, 3, 2), Mode.I): ("132 refinement at t=1", formula_pattern132),
+    ((2, 1, 3), Mode.I): ("213 via reverse-complement", formula_pattern132),
+    ((1, 2, 3), Mode.I): ("increasing of size 3", formula_pattern123),
+    ((2, 1, 4, 3), Mode.I): ("2143 closed form", formula_pattern2143),
+    ((2, 1, 4, 3), Mode.F): ("permutational matchings", _half_factorial),
+    ((1, 2), Mode.I): ("half factorial", _half_factorial),
+}
 
 
 def check_recurrence_132(n_max: int) -> bool:

@@ -18,6 +18,17 @@ the level engine :func:`invpat.classes.avoider_levels` (the top size is
 streamed, not stored), and runs the classical check on those; a
 counterexample is an avoider that contains a pattern classically.  The
 totals per size come from the closed counts, not from a scan.
+
+The classical check runs only where a pattern can still occur.  The
+avoiders are closed under deleting a *unit* (a fixed point or a
+2-cycle), a one-step deletion in both orders.  While no smaller size
+has a classical container, every unit deletion of a size-n avoider
+avoids classically, so an occurrence of p that missed a unit would
+survive into a smaller container: every occurrence touches every unit,
+and p is tried only on avoiders with at most |p| units
+(:func:`invpat.containment.closed_classical_check`).  After the first
+size that has a container, the sweep falls back to checking every
+pattern on every avoider.
 :func:`_brute_force_row` scans every element of one size instead and
 is the oracle the tests compare the sweep against.
 """
@@ -27,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 from .classes import PatternSet, avoider_levels
-from .containment import Mode, PatternChecker
+from .containment import Mode, PatternChecker, closed_classical_check
 from .core import (Perm, check_fpf, check_involution, generate_fpf,
                    generate_involutions, odd_fix_gap, parse_perm)
 from .enumeration import involution_count, matching_count
@@ -134,7 +145,8 @@ def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
     else:
         patterns, mode, count = PI_PRIME, Mode.F, matching_count
         full = None
-    classical = PatternChecker(patterns, Mode.CLASSICAL)
+    # exact while no smaller size has a classical container
+    check = closed_classical_check(patterns)
     report = SweepReport(part, max_size)
     start = tick = time.perf_counter()
     for n, members in avoider_levels(PatternSet(patterns, mode), mode, max_size):
@@ -144,8 +156,10 @@ def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
         containers = []
         for tau in members:
             visited += 1
-            if classical.contains_any(tau):
+            if check(tau):
                 containers.append(tau)
+        if containers:
+            check = PatternChecker(patterns, Mode.CLASSICAL).contains_any
         missed_full = (len(containers) if full is None
                        else sum(not full.contains_any(tau) for tau in containers))
         row = SizeRow(n, count(n), visited - len(containers), len(containers),

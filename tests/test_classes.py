@@ -226,3 +226,30 @@ def test_dichotomy_small_scale(involutions_by_size):
         else:
             for n in range(1, 9):
                 assert len(class_members(ps, Mode.I, n)) >= factorial(n // 2)
+
+
+def test_closed_containers_have_at_most_as_many_units_as_the_pattern():
+    # the lemma behind the engine's unit prune, checked against its
+    # definitions: a closed container of p contains p classically while
+    # every one-step image avoids it, and a unit is a fixed point or a
+    # 2-cycle; no closed container has more units than p has entries
+    from itertools import permutations
+
+    from invpat.containment import one_step_down
+    from invpat.core import fixed_points, generate_involutions, is_fpf, two_cycles
+
+    everything = [tau for n in range(11) for tau in generate_involutions(n)]
+    images = {mode: {tau: one_step_down(tau, mode) for tau in everything
+                     if mode is not Mode.F or is_fpf(tau)}
+              for mode in (Mode.I, Mode.IPRIME, Mode.F)}
+    closed_at_bound = 0
+    for pat in (p for k in range(5) for p in permutations(range(1, k + 1))):
+        checker = PatternChecker([pat], Mode.CLASSICAL)
+        hit = {tau: checker.contains_any(tau) for tau in everything}
+        for mode, down in images.items():
+            for tau, below in down.items():
+                if hit[tau] and not any(hit[img] for img in below):
+                    units = len(fixed_points(tau)) + len(two_cycles(tau))
+                    assert units <= len(pat), (pat, mode, tau)
+                    closed_at_bound += units == len(pat)
+    assert closed_at_bound > 0

@@ -207,3 +207,45 @@ def test_avoids_all():
     assert avoids_all(rho, [(2, 1, 4, 3), parse_perm("456123")], Mode.F)
     assert avoids_all((2, 1), [], Mode.I)
     assert not avoids_all((2, 1, 3, 5, 4), [(2, 1, 4, 3)], Mode.CLASSICAL)
+
+
+def test_classical_mode_rejects_non_permutations():
+    # both sides are validated, as in the deletion orders
+    with pytest.raises(ValueError):
+        contains((5, 5), (1,), Mode.CLASSICAL)
+    with pytest.raises(ValueError):
+        contains((2, 1), (1, 1), Mode.CLASSICAL)
+    with pytest.raises(ValueError):
+        avoids_all((9, 9, 9), [(2, 1)], Mode.CLASSICAL)
+    for tau, rho in (((5, 5), (1,)), ((2, 1), (1, 1))):
+        with pytest.raises(ValueError):
+            contains_fast(tau, rho, Mode.CLASSICAL)
+    for mode in Mode:
+        with pytest.raises(ValueError):
+            avoids_all((9, 9, 9), [(1,)], mode)
+        with pytest.raises(ValueError):
+            PatternChecker([(1, 1)], mode)
+    assert not contains((3, 2, 1), (1, 2), Mode.CLASSICAL)
+    assert contains_fast((2, 1, 3), (1, 2), Mode.CLASSICAL)
+
+
+def test_closed_classical_check_tries_only_patterns_with_enough_entries(
+        involutions_by_size, monkeypatch):
+    # the check tries p only where units(tau) <= |p|, with the units read
+    # off the cycles, and searches through PatternChecker.contains_any
+    # (which bench/tracing.py counts) or not at all
+    from invpat.core import fixed_points, two_cycles
+
+    pats = [(1, 2), (3, 2, 1), (2, 1, 4, 3), parse_perm("14325"), parse_perm("351624")]
+    check = containment.closed_classical_check(pats)
+    calls = []
+    real = PatternChecker.contains_any
+    monkeypatch.setattr(PatternChecker, "contains_any",
+                        lambda self, tau: calls.append(tau) or real(self, tau))
+    for members in involutions_by_size.values():
+        for tau in members:
+            units = len(fixed_points(tau)) + len(two_cycles(tau))
+            calls.clear()
+            assert check(tau) == any(contains_classical(tau, p)
+                                     for p in pats if units <= len(p)), tau
+            assert calls == ([tau] if units <= 6 else []), tau

@@ -119,3 +119,41 @@ def test_cross_check_with_basis():
     checker = PatternChecker(PI_SMOOTH, Mode.IPRIME)
     for beta in report.all_elements():
         assert checker.contains_any(beta)
+
+
+def test_sweep_falls_back_after_a_late_counterexample(monkeypatch):
+    # drop only the size-6 pattern 426153 from the set the I' levels are
+    # grown against: sizes 1..5 are clean, and from size 6 on the levels
+    # hold classical containers whose occurrences may miss a unit, so
+    # the sweep must check every pattern again; compare with a filter of
+    # every involution by the crippled set
+    from invpat.core import generate_involutions
+
+    import invpat.mcgovern as m
+
+    real = m.avoider_levels
+    crippled_patterns = [p for p in PI_SMOOTH if p != parse_perm("426153")]
+
+    def crippled(ps, ambient, max_size):
+        if ps.mode is Mode.IPRIME:
+            ps = PatternSet(crippled_patterns, ps.mode)
+        return real(ps, ambient, max_size)
+
+    monkeypatch.setattr(m, "avoider_levels", crippled)
+    report = m.verify_part1(9)
+    member = PatternChecker(crippled_patterns, Mode.IPRIME)
+    classical = PatternChecker(PI_SMOOTH, Mode.CLASSICAL)
+    full = PatternChecker(PI_SMOOTH, Mode.I)
+    first = None
+    for n in range(1, 10):
+        members = [t for t in generate_involutions(n) if not member.contains_any(t)]
+        containers = [t for t in members if classical.contains_any(t)]
+        row = report.rows[n]
+        assert row.equal == (not containers), n
+        assert row.classical_avoiders + row.extra_coarse == len(members), n
+        assert row.classical_avoiders + row.extra_full == len(members) - sum(
+            full.contains_any(t) for t in containers), n
+        if containers and first is None:
+            first = min(containers)
+            assert n == 6
+    assert report.first_counterexample() == first == parse_perm("426153")
