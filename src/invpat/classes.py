@@ -3,15 +3,19 @@ Avoidance classes and basis computation.
 
 A :class:`PatternSet` bundles patterns with the containment order they
 are read in.  One level engine, :func:`avoider_levels`, grows the
-avoiders of a set size by size; class members (:func:`class_members`),
-bases (:func:`compute_basis`), counts (:mod:`invpat.enumeration`) and
-the equality sweeps (:mod:`invpat.mcgovern`) all read it.  A basis is
+avoiders of a set size by size, each element from a smaller member, and
+keeps a candidate iff its one-step deletions are all members, decided
+by integer lookups of image ids rather than by building the images.
+Class members (:func:`class_members`), bases (:func:`compute_basis`),
+counts (:mod:`invpat.enumeration`) and the equality sweeps
+(:mod:`invpat.mcgovern`) all read it.  A basis is
 the set of minimal violators of a classical pattern set inside a
 deletion order; searching up to twice the largest pattern size is
 guaranteed to find all of it.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 # one_step_down, generate_involutions and generate_fpf stay importable
@@ -51,18 +55,37 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     Yield ``(n, members)`` for n = 0..max_size: the size-n elements of the
     ambient family (involutions, or matchings for ``F``) avoiding ps.
 
-    Each involution of size n is grown from exactly one smaller one, the
-    one left after deleting the cycle through position n: a size n-1
-    element with the fixed point n appended, or a size n-2 element with
-    the 2-cycle (p, n) inserted.  The levels are grown in a deletion
-    order (the ambient's for a classical set, the set's own otherwise),
-    where avoiders are closed under deletion, so only members are grown
-    from.  A candidate is *closed* iff every one-step image is a member,
-    and a closed candidate is a member unless it is *excluded*: one of
-    the patterns of a deletion-order set, or a container of a classical
-    one.  The closed excluded candidates are the minimal violators; they
-    are appended to ``violators`` if given.  Below the smallest pattern
-    size every candidate is a member, so no check runs there.
+    Each involution c of size n is grown from exactly one smaller one,
+    its *parent* sigma: c with its *last unit* U, the cycle through
+    position n, deleted.  U is the fixed point n (slot 0, sigma of size
+    n-1) or the 2-cycle (s, n) (slot s, sigma of size n-2).  The levels
+    are grown in a deletion order (the ambient's for a classical set, the
+    set's own otherwise), where avoiders are closed under deletion, so
+    only members are grown from.  A candidate is *closed* iff every
+    one-step image is a member, and a closed candidate is a member unless
+    it is *excluded*: one of the patterns of a deletion-order set, or a
+    container of a classical one.  The closed excluded candidates are the
+    minimal violators; they are appended to ``violators`` if given.  Below
+    the smallest pattern size, the *floor*, every candidate is a member,
+    and the images of a size-floor candidate lie below it, so closure is
+    checked only above the floor.
+
+    Closure is decided by image pointers: no image is built or hashed.  A
+    member is named by its index in its level.  Deleting U from c gives
+    sigma, a member.  Deleting another unit u gives the member sigma - u
+    with U put back at slot s - #(positions of u below s).  In ``I``, the
+    collapse of sigma's adjacent 2-cycle (a, a+1) deletes position a+1
+    and is lost when s = a+1, and U = (n-1, n) adds the collapse image
+    sigma + (n-1,).  So c is closed iff each (id of sigma - u, slot)
+    names a member one or two sizes down.  To look that up, the levels
+    from floor - 1 to ``max_size`` - 1 hold two integer arrays, and only
+    when some size above the floor is checked: the size-m member grown
+    from (parent id, slot) at index parent id * m + slot (-1 where none
+    grew), and per member a flat run of its images' ids, in the order
+    :func:`invpat.containment._iter_images` yields them.  A member checked
+    above the floor gets its run from its own check; at floor - 1 and
+    floor the run is looked up from one ``_iter_images`` pass.  The
+    candidate tuple is built only for closed candidates.
 
     A classical set is checked only where a pattern can still occur.
     Every candidate that reaches the check is closed, so its one-step
@@ -73,7 +96,7 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     at most |p| units (:func:`invpat.containment.closed_classical_check`):
     none above twice the largest pattern size is searched.
 
-    Only two levels are held.  Levels below ``max_size`` are sets; the
+    Only two levels are held.  Levels below ``max_size`` are lists; the
     top level is an iterator that grows its members as it is consumed,
     never stored.  A deletion-order set read in the matchings is grown
     in the involutions and filtered.
@@ -99,42 +122,135 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         excluded = ps.patterns.__contains__
     floor = min((len(p) for p in ps.patterns), default=max_size + 1)
     fpf_only = ambient is Mode.F and order is not Mode.F
-    older: set[Perm] = set()
-    last: set[Perm] = set()
+    fix_ok = order is not Mode.F
+    collapse_ok = order is Mode.I
+    # levels from here up to max_size - 1 hold tables; none if nothing is checked
+    held = floor - 1 if floor < max_size else max_size
+    past = max_size + 1             # stands for "no second deleted position"
 
-    def candidates(n: int):
+    def units(sigma: Perm) -> list[tuple[int, int, int, int, int]]:
+        """Sigma's one-step images in ``_iter_images`` order, each as (first
+        position of its unit, deleted positions lo and hi, the slot that
+        loses it or 0, size drop)."""
+        out = []
+        for i, v in enumerate(sigma, 1):
+            if v == i:
+                if fix_ok:
+                    out.append((i, i, past, 0, 1))
+            elif v > i:
+                out.append((i, i, v, 0, 2))
+                if collapse_ok and v == i + 1:
+                    out.append((i, v, past, v, 1))
+        return out
+
+    def grow(n: int, last, older, below, table):
+        """Yield the size-n members, checked against the tables ``below`` of
+        sizes n-1 and n-2.  With a ``table`` (kids, runs), record each
+        member's key (parent id, slot) and, when checked, its image ids."""
         if n == 0:
-            yield ()
+            if floor > 0 or not excluded(()):
+                yield ()
+            elif violators is not None:
+                violators.append(())
             return
-        if order is not Mode.F:
-            for sigma in last:
-                yield sigma + (n,)
-        for sigma in older:
-            # up is sigma with every value >= p raised by one; moving to
-            # p + 1 lowers the value p back, at position sigma[p - 1]
-            up = [w + 1 for w in sigma]
-            for p in range(1, n):
-                yield (*up[:p - 1], n, *up[p - 1:], p)
-                if p < n - 1:
-                    up[sigma[p - 1] - 1] = p
+        check = n > floor
+        screen = n >= floor
+        kids, runs = table or (None, None)
+        found = 0
+        if check:
+            # by size drop: the kids map of the level an image lies in
+            (last_kids, last_runs), (older_kids, older_runs) = below
+            kids_at = (None, last_kids, older_kids)
 
-    def members(n: int):
-        for tau in candidates(n):
-            # images of a size-floor candidate are all below floor: members
-            if n > floor and not all(img in last or img in older
-                                     for img in _iter_images(tau, order)):
-                continue
-            if n >= floor and excluded(tau):
+        off = 0
+        for j, sigma in enumerate(last if fix_ok else ()):
+            # U is the fixed point n; the rest keeps its slot 0
+            if check:
+                ents = units(sigma)
+                ids = []
+                i = 0                   # -1 once an image is not a member
+                for (_, _, _, _, d), g in zip(ents, last_runs[off:off + len(ents)]):
+                    i = kids_at[d][g * (n - d)]
+                    if i < 0:
+                        break
+                    ids.append(i)
+                off += len(ents)
+                if i < 0:
+                    continue
+            tau = sigma + (n,)
+            if screen and excluded(tau):
                 if violators is not None:
                     violators.append(tau)
                 continue
+            if kids is not None:
+                kids[j * n] = found
+                if check:
+                    runs.extend(ids)
+                    runs.append(j)
+            found += 1
             yield tau
 
+        off = 0
+        for j, sigma in enumerate(older):
+            # U is the 2-cycle (s, n)
+            if check:
+                ents = units(sigma)
+                refs = [(lo, hi, cut, kids_at[d], g * (n - d))
+                        for (_, lo, hi, cut, d), g in
+                        zip(ents, older_runs[off:off + len(ents)])]
+                off += len(ents)
+                # the collapse image of U = (n-1, n) is sigma + (n-1,)
+                tail = kids_at[1][j * (n - 1)] if collapse_ok else 0
+            # up is sigma with every value >= s raised by one; moving to
+            # s + 1 lowers the value s back, at position sigma[s - 1]
+            up = [w + 1 for w in sigma]
+            for s in range(1, n):
+                if s > 1:
+                    up[sigma[s - 2] - 1] = s - 1
+                if check:
+                    if s == n - 1 and tail < 0:
+                        continue
+                    ids = []
+                    i = 0
+                    for lo, hi, cut, kid, base in refs:
+                        if s != cut:
+                            i = kid[base + s - (lo < s) - (hi < s)]
+                            if i < 0:
+                                break
+                            ids.append(i)
+                    if i < 0:
+                        continue
+                tau = (*up[:s - 1], n, *up[s - 1:], s)
+                if screen and excluded(tau):
+                    if violators is not None:
+                        violators.append(tau)
+                    continue
+                if kids is not None:
+                    kids[j * n + s] = found
+                    if check:
+                        # U's images go after the units that start below s
+                        at = sum(1 for e in ents if e[0] < s and e[3] != s)
+                        ids[at:at] = [j, tail] if collapse_ok and s == n - 1 else [j]
+                        runs.extend(ids)
+                found += 1
+                yield tau
+
+    older: list[Perm] = []
+    last: list[Perm] = []
+    older_tables = last_tables = (array("i"), array("i"))     # sizes -2 and -1: empty
     for n in range(max_size):
-        level = set(members(n))
-        yield n, {tau for tau in level if is_fpf(tau)} if fpf_only else level
+        tables = None
+        if n >= held:
+            # key parent id * n + slot -> id, -1 where no member grew
+            tables = (array("i", [-1]) * (max(len(last), len(older)) * n), array("i"))
+        level = list(grow(n, last, older, (last_tables, older_tables), tables))
+        if tables and n <= floor:
+            index = {tau: i for members in (older, last) for i, tau in enumerate(members)}
+            tables[1].extend(index[img] for tau in level for img in _iter_images(tau, order))
+        yield n, [tau for tau in level if is_fpf(tau)] if fpf_only else level
         older, last = last, level
-    top = members(max_size)
+        older_tables, last_tables = last_tables, tables
+    top = grow(max_size, last, older, (last_tables, older_tables), None)
     yield max_size, filter(is_fpf, top) if fpf_only else top
 
 

@@ -118,14 +118,16 @@ def _search_classical(haystack: Perm, steps) -> bool:
 
 def contains_classical(haystack: Perm, pattern: Perm) -> bool:
     """
-    True if some subsequence of haystack standardizes to pattern.  Neither
-    side is validated; :func:`contains` validates both.
+    True if some subsequence of haystack standardizes to pattern.  Both
+    sides must be permutations; anything else raises ``ValueError``.
 
     >>> contains_classical((2, 1, 6, 4, 7, 3, 5, 8), (3, 4, 1, 2))
     True
     >>> contains_classical((3, 2, 1), (1, 2))
     False
     """
+    haystack = check_for_mode(haystack, Mode.CLASSICAL)
+    pattern = check_for_mode(pattern, Mode.CLASSICAL)
     return _search_classical(haystack, _compile_classical(pattern))
 
 
@@ -205,7 +207,7 @@ def contains(tau: Perm, rho: Perm, mode: Mode) -> bool:
     tau = check_for_mode(tau, mode)
     rho = check_for_mode(rho, mode)
     if mode is Mode.CLASSICAL:
-        return contains_classical(tau, rho)
+        return _search_classical(tau, _compile_classical(rho))
     return len(rho) <= len(tau) and rho in _reachable(tau, mode, len(rho))
 
 
@@ -336,7 +338,7 @@ def contains_fast(tau: Perm, rho: Perm, mode: Mode) -> bool:
     """
     tau = check_for_mode(tau, mode)
     if mode is Mode.CLASSICAL:
-        return contains_classical(tau, check_for_mode(rho, mode))
+        return _search_classical(tau, _compile_classical(check_for_mode(rho, mode)))
     roles = _compile_pattern(rho, mode)
     if len(rho) > len(tau):
         return False

@@ -344,6 +344,17 @@ def d_series(p: int, q: int, n_max: int) -> list[PolyT]:
 # identities
 
 
+def _fixed_point_terms(n: int, f_counts: list[int]) -> list[int]:
+    """
+    Per m = 0..n, the size-n involution avoiders with m fixed points that
+    removing fixed points predicts: C(n,m) * #matching avoiders of size n-m.
+
+    >>> _fixed_point_terms(4, [1, 0, 1, 0, 3])
+    [3, 0, 6, 0, 1]
+    """
+    return [comb(n, m) * f_counts[n - m] for m in range(n + 1)]
+
+
 def check_fixed_point_identity(r: PatternSet, n_max: int,
                                subset_limit: int = 8) -> bool:
     """
@@ -358,16 +369,15 @@ def check_fixed_point_identity(r: PatternSet, n_max: int,
     as_i = PatternSet(r.patterns, Mode.I)
     f_counts = _level_counts(r, Mode.F, n_max)
     for n, members in avoider_levels(as_i, Mode.I, n_max):
-        by_fix: dict[int, int] = {m: 0 for m in range(n + 1)}
+        by_fix = [0] * (n + 1)
         by_set: dict[frozenset[int], int] = {}
         for tau in members:
             fp = frozenset(fixed_points(tau))
             by_fix[len(fp)] += 1
             if n <= subset_limit:
                 by_set[fp] = by_set.get(fp, 0) + 1
-        for m in range(n + 1):
-            if by_fix[m] != comb(n, m) * f_counts[n - m]:
-                return False
+        if by_fix != _fixed_point_terms(n, f_counts):
+            return False
         if n <= subset_limit:
             for m in range(n + 1):
                 for s in combinations(range(1, n + 1), m):
@@ -403,7 +413,7 @@ def egf_identity_report(r: PatternSet, n_max: int) -> list[tuple[int, int, int, 
     f_counts = _level_counts(r, Mode.F, n_max)
     rows = []
     for n, lhs in enumerate(_level_counts(PatternSet(r.patterns, Mode.I), Mode.I, n_max)):
-        rhs = sum(comb(n, m) * f_counts[n - m] for m in range(n + 1))
+        rhs = sum(_fixed_point_terms(n, f_counts))
         rows.append((n, lhs, rhs, lhs == rhs))
     return rows
 

@@ -14,10 +14,11 @@ set avoid it in every deletion order: classical avoiders are contained
 in the I-avoiders, which are contained in the I'-avoiders (and, for
 matchings, in the F-avoiders).  A sweep therefore visits only the
 deletion-order avoiders, grown size by size with a generating tree by
-the level engine :func:`invpat.classes.avoider_levels` (the top size is
-streamed, not stored), and runs the classical check on those; a
-counterexample is an avoider that contains a pattern classically.  The
-totals per size come from the closed counts, not from a scan.
+the level engine :func:`invpat.classes.avoider_levels` (closure is
+decided by image-id lookups, and the top size is streamed, not stored),
+and runs the classical check on those; a counterexample is an avoider
+that contains a pattern classically.  The totals per size come from the
+closed counts, not from a scan.
 
 The classical check runs only where a pattern can still occur.  The
 avoiders are closed under deleting a *unit* (a fixed point or a

@@ -60,10 +60,9 @@ def _engine_levels(ps, ambient, to):
     return [set(members) for _, members in avoider_levels(ps, ambient, to)]
 
 
-def test_avoider_levels_match_scan(involutions_by_size, matchings_by_size):
-    # the level engine against an exhaustive scan at every size <= 8,
-    # in each order, for classical sets in both ambients and for a
-    # deletion-order set read in the matchings
+def _level_cases(involutions_by_size):
+    """Pattern sets in each order: classical sets in both ambients, and a
+    deletion-order set read in the matchings."""
     from itertools import permutations
 
     from invpat.mcgovern import PI_PRIME, PI_SMOOTH
@@ -82,12 +81,86 @@ def test_avoider_levels_match_scan(involutions_by_size, matchings_by_size):
             cases.append((PatternSet(pats, Mode.CLASSICAL), ambient))
     for pats in ([(1, 2)], [(2, 1, 4, 3)]):
         cases.append((PatternSet(pats, Mode.I), Mode.F))
-    for ps, ambient in cases:
+    return cases
+
+
+def test_avoider_levels_match_scan(involutions_by_size, matchings_by_size):
+    # the level engine against an exhaustive scan at every size <= 8
+    for ps, ambient in _level_cases(involutions_by_size):
         families = matchings_by_size if ambient is Mode.F else involutions_by_size
         assert _engine_levels(ps, ambient, 8) == _scan_levels(ps, ambient, families, 8), \
             (str(ps), ambient)
     ps = PatternSet([(2, 1, 4, 3)], Mode.I)
     assert class_members(ps, Mode.F, 8) == _scan_levels(ps, Mode.F, matchings_by_size, 8)[8]
+
+
+def _tuple_closure_levels(ps, ambient, max_size):
+    """
+    Oracle: the level engine as it was before image pointers.  Each
+    candidate is built as a tuple, and it is closed iff every
+    ``_iter_images`` image is in the set of one of the two levels below.
+    Returns the member set of every level and the violators, sorted.
+    """
+    from invpat.containment import _iter_images, closed_classical_check
+    from invpat.core import is_fpf
+
+    if ps.mode is Mode.CLASSICAL:
+        order, excluded = ambient, closed_classical_check(ps.patterns)
+    else:
+        order, excluded = ps.mode, ps.patterns.__contains__
+    floor = min((len(p) for p in ps.patterns), default=max_size + 1)
+    levels, violators = [], []
+    older, last = set(), set()
+    for n in range(max_size + 1):
+        if n == 0:
+            grown = [()]
+        else:
+            grown = [sigma + (n,) for sigma in last] if order is not Mode.F else []
+            for sigma in older:
+                for p in range(1, n):
+                    grown.append(tuple(w + (w >= p) for w in sigma[:p - 1]) + (n,)
+                                 + tuple(w + (w >= p) for w in sigma[p - 1:]) + (p,))
+        level = set()
+        for tau in grown:
+            if n > floor and not all(img in last or img in older
+                                     for img in _iter_images(tau, order)):
+                continue
+            if n >= floor and excluded(tau):
+                violators.append(tau)
+            else:
+                level.add(tau)
+        levels.append({t for t in level if is_fpf(t)} if ambient is Mode.F else level)
+        older, last = last, level
+    return levels, sorted(violators)
+
+
+def test_image_pointers_match_tuple_closure(involutions_by_size):
+    # the engine against the tuple-and-set closure it replaced: per-level
+    # members and the violators, on every set of the scan test to 8, on
+    # the paper's sets further up, and where the tables are first seeded
+    # at the top size, one below it or two below it
+    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+
+    cases = [(ps, ambient, 8) for ps, ambient in _level_cases(involutions_by_size)]
+    cases += [(PatternSet(PI_SMOOTH, Mode.IPRIME), Mode.IPRIME, 10),
+              (PatternSet(PI_PRIME, Mode.F), Mode.F, 12),
+              (PatternSet([(2, 1, 4, 3)], Mode.CLASSICAL), Mode.I, 10)]
+    for top in (6, 7, 8):
+        for size in (top, top - 1, top - 2):
+            decreasing = tuple(range(size, 0, -1))
+            for mode in (Mode.I, Mode.IPRIME):
+                cases.append((PatternSet([decreasing], mode), mode, top))
+                increasing = tuple(range(1, size + 2))
+                cases.append((PatternSet([decreasing, increasing], Mode.CLASSICAL), mode, top))
+            cases.append((PatternSet([decreasing], Mode.CLASSICAL), Mode.F, top))
+            if size % 2 == 0:
+                matching = tuple(range(size // 2 + 1, size + 1)) + tuple(range(1, size // 2 + 1))
+                cases.append((PatternSet([matching], Mode.F), Mode.F, top))
+    for ps, ambient, top in cases:
+        violators = []
+        levels = [set(members) for _, members in avoider_levels(ps, ambient, top, violators)]
+        assert (levels, sorted(violators)) == _tuple_closure_levels(ps, ambient, top), \
+            (str(ps), ambient, top)
 
 
 def test_compute_basis_matches_scan(involutions_by_size, matchings_by_size):

@@ -32,6 +32,14 @@ def test_contains_classical_examples():
     assert not contains_classical((), (1,))
 
 
+def test_contains_classical_rejects_non_permutations():
+    # either side that is not a permutation of 1..n raises, as in contains
+    with pytest.raises(ValueError):
+        contains_classical((2, 1), (1, 1))
+    with pytest.raises(ValueError):
+        contains_classical((5, 5), (1,))
+
+
 def _agrees_with_oracle(haystacks, patterns, contains) -> bool:
     """A classical containment test against every standardized subsequence."""
     sizes = {len(p) for p in patterns}

@@ -170,21 +170,41 @@ def test_count_table_serialization():
     assert refined.refined[(3, 1)] == 3
 
 
-def test_count_table_streams_the_top_level():
-    # counting to 11 holds the levels of sizes 9 and 10 only, which take
-    # less memory than a list of the 35,696 size-11 involutions
+def _counting_peak_and_top_list(patterns):
+    """The tracemalloc peak of counting the avoiders of patterns in I to
+    11, its table, and the size of a list of every size-11 involution."""
     import tracemalloc
 
     from invpat.core import generate_involutions
 
     tracemalloc.start()
     try:
-        table = count_table(PatternSet([], Mode.I), Mode.I, 11)
+        table = count_table(PatternSet(patterns, Mode.I), Mode.I, 11)
         _, counting_peak = tracemalloc.get_traced_memory()
         before, _ = tracemalloc.get_traced_memory()
         top = list(generate_involutions(11))
         list_size = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return counting_peak, table, top, list_size
+
+
+def test_count_table_streams_the_top_level():
+    # counting to 11 holds the levels of sizes 9 and 10 only, which take
+    # less memory than a list of the 35,696 size-11 involutions
+    counting_peak, table, top, list_size = _counting_peak_and_top_list([])
     assert table.counts[11] == len(top) == 35696
     assert counting_peak < list_size, (counting_peak, list_size)
+
+
+def test_no_tables_where_nothing_is_checked():
+    # the smallest pattern sits at the top size, so no candidate is ever
+    # checked for closure and the engine holds no image tables: counting
+    # the avoiders of the decreasing pattern of size 11 to 11 holds the
+    # 12,116 involutions of sizes 9 and 10, under half the memory of a
+    # list of the 35,696 size-11 involutions; tables at every level would
+    # take it past half
+    decreasing = tuple(range(11, 0, -1))
+    counting_peak, table, top, list_size = _counting_peak_and_top_list([decreasing])
+    assert table.counts[11] == len(top) - 1
+    assert counting_peak < list_size / 2, (counting_peak, list_size)
