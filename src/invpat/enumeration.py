@@ -7,8 +7,14 @@ binomials in play overflow 64 bits well inside the tested ranges.
 Counts of avoiders come from one pass of the level engine
 :func:`invpat.classes.avoider_levels`, which streams the top level
 instead of storing it, so each closed form can be compared against an
-exhaustive tally of every avoider.  ``FORMULAS`` names the closed forms
-on file by (pattern, order); ``invpat count --formula`` reads it.
+exhaustive tally of every avoider.  Sizes below the smallest pattern
+size are the exception: every element there avoids the set, so their
+count is the ambient count, not a tally, and the engine is not run at
+all when no size asked for reaches the smallest pattern.  For the empty
+set that is every size, so ``invpat count --formula`` on it checks its
+closed form against that ambient count, not a tally.  ``FORMULAS``
+names the closed forms on file by (pattern, order); ``invpat count
+--formula`` reads it.
 """
 from __future__ import annotations
 
@@ -125,29 +131,64 @@ def _tally(members, refine_by_fixed_points: bool):
     return refined
 
 
+def _tallies(ps: PatternSet, ambient: Mode, n_max: int,
+             refine_by_fixed_points: bool, low: int = 0):
+    """
+    Yield ``(n, tally)`` for n = low..n_max, each tally as :func:`_tally`
+    makes it.  Below the *floor*, the smallest pattern size (every size
+    for the empty set), every element of the ambient family avoids ps, so
+    the tally is the ambient count: C(n, m) * (n-m-1)!! involutions with m
+    fixed points, or the (n-1)!! matchings in ``F``.  From the floor up
+    the sizes are tallied from one pass of the level engine, which is not
+    run at all when the floor lies above n_max.  Bad input raises the
+    engine's ``ValueError`` whether or not the engine runs.
+
+    >>> dict(_tallies(PatternSet([], Mode.I), Mode.I, 3, True))
+    {0: {0: 1}, 1: {1: 1}, 2: {0: 1, 2: 1}, 3: {1: 3, 3: 1}}
+    """
+    if ambient is Mode.CLASSICAL:
+        raise ValueError("ambient must be one of the involution/matching orders")
+    if n_max < 0:
+        raise ValueError("size must be nonnegative")
+    if ps.mode is Mode.F and ambient is not Mode.F:
+        raise ValueError("F-mode pattern sets only filter matchings")
+    floor = min((len(p) for p in ps.patterns), default=n_max + 1)
+    f_counts = [matching_count(k) for k in range(min(floor, n_max + 1))]
+    for n in range(low, len(f_counts)):
+        terms = [f_counts[n]] if ambient is Mode.F else _fixed_point_terms(n, f_counts)
+        if refine_by_fixed_points:
+            yield n, {m: c for m, c in enumerate(terms) if c}
+        else:
+            yield n, sum(terms)
+    if floor <= n_max:
+        for n, members in avoider_levels(ps, ambient, n_max):
+            if n >= floor and n >= low:
+                yield n, _tally(members, refine_by_fixed_points)
+
+
 def count_avoiders(ps: PatternSet, ambient: Mode, n: int,
                    refine_by_fixed_points: bool = False):
     """
     Exact number of size-n avoiders; with the refinement flag, a dict
     keyed by fixed-point count.  The size-n avoiders are counted as they
-    are grown, never stored.
+    are grown, never stored; below the smallest pattern size nothing is
+    grown, and the count is the ambient count.
 
     >>> count_avoiders(PatternSet([(2, 1, 4, 3)], Mode.I), Mode.I, 4)
     9
     """
-    for _, members in avoider_levels(ps, ambient, n):
-        pass
-    return _tally(members, refine_by_fixed_points)
+    [(_, tally)] = _tallies(ps, ambient, n, refine_by_fixed_points, n)
+    return tally
 
 
 def _level_counts(ps: PatternSet, ambient: Mode, n_max: int) -> list[int]:
     """
-    Avoider counts for sizes 0..n_max from one pass of the level engine.
+    Avoider counts for sizes 0..n_max from one tally pass.
 
     >>> _level_counts(PatternSet([(2, 1, 4, 3)], Mode.F), Mode.F, 6)
     [1, 0, 1, 0, 2, 0, 6]
     """
-    return [_tally(members, False) for _, members in avoider_levels(ps, ambient, n_max)]
+    return [count for _, count in _tallies(ps, ambient, n_max, False)]
 
 
 def count_table(ps: PatternSet, ambient: Mode, n_max: int,
@@ -155,9 +196,8 @@ def count_table(ps: PatternSet, ambient: Mode, n_max: int,
     """Counts for sizes 1..n_max (even sizes only for matchings) in one pass."""
     if ambient is Mode.F:
         n_max -= n_max % 2           # the odd top level is empty: grow to the even one
-    tallies = {n: _tally(members, refine_by_fixed_points)
-               for n, members in avoider_levels(ps, ambient, max(n_max, 0))
-               if n and not (ambient is Mode.F and n % 2)}
+    tallies = {n: tally for n, tally in _tallies(ps, ambient, n_max, refine_by_fixed_points, 1)
+               if not (ambient is Mode.F and n % 2)}
     if not refine_by_fixed_points:
         return CountTable(ps, ambient, tallies)
     counts = {n: sum(by_fix.values()) for n, by_fix in tallies.items()}

@@ -4,10 +4,10 @@ from math import comb
 import pytest
 
 import invpat.enumeration as enumeration
-from invpat.classes import PatternSet, class_members
+from invpat.classes import PatternSet, avoider_levels, class_members
 from invpat.containment import Mode
 from invpat.core import reverse_complement
-from invpat.enumeration import (PolyT, check_corollary_stanley,
+from invpat.enumeration import (PolyT, _level_counts, check_corollary_stanley,
                                 check_fixed_point_identity,
                                 check_recurrence_132, count_avoiders,
                                 count_table, d_series, egf_identity_report,
@@ -15,6 +15,7 @@ from invpat.enumeration import (PolyT, check_corollary_stanley,
                                 formula_pattern132_poly, formula_pattern2143,
                                 formula_pattern321, involution_count,
                                 matching_count, pq_binomial, pq_bracket)
+from invpat.mcgovern import PI_PRIME, PI_SMOOTH
 from conftest import involution_count_oracle
 
 
@@ -170,31 +171,66 @@ def test_count_table_serialization():
     assert refined.refined[(3, 1)] == 3
 
 
-def _counting_peak_and_top_list(patterns):
-    """The tracemalloc peak of counting the avoiders of patterns in I to
-    11, its table, and the size of a list of every size-11 involution."""
+def _counting_peak_and_top_list(count):
+    """The tracemalloc peak of count(), its result, and a list of every
+    size-11 involution with the memory that list takes."""
     import tracemalloc
 
     from invpat.core import generate_involutions
 
     tracemalloc.start()
     try:
-        table = count_table(PatternSet(patterns, Mode.I), Mode.I, 11)
+        counted = count()
         _, counting_peak = tracemalloc.get_traced_memory()
         before, _ = tracemalloc.get_traced_memory()
         top = list(generate_involutions(11))
         list_size = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    return counting_peak, table, top, list_size
+    return counting_peak, counted, top, list_size
+
+
+def _count_table_to_11(patterns):
+    return lambda: count_table(PatternSet(patterns, Mode.I), Mode.I, 11)
 
 
 def test_count_table_streams_the_top_level():
-    # counting to 11 holds the levels of sizes 9 and 10 only, which take
-    # less memory than a list of the 35,696 size-11 involutions
-    counting_peak, table, top, list_size = _counting_peak_and_top_list([])
+    # every size of the empty set lies below its smallest pattern size, so
+    # counting it to 11 reads the involution numbers and holds no level
+    # at all, far less than a list of the 35,696 size-11 involutions
+    counting_peak, table, top, list_size = _counting_peak_and_top_list(_count_table_to_11([]))
     assert table.counts[11] == len(top) == 35696
     assert counting_peak < list_size, (counting_peak, list_size)
+
+
+def test_avoider_levels_streams_the_top_level():
+    # counting no longer grows the empty set's levels, so consume the
+    # engine directly: growing every involution to 11 holds the levels of
+    # sizes 9 and 10 only, which take less memory than a list of the
+    # 35,696 size-11 involutions
+    def consume():
+        return [sum(1 for _ in members)
+                for _, members in avoider_levels(PatternSet([], Mode.I), Mode.I, 11)]
+
+    counting_peak, counts, top, list_size = _counting_peak_and_top_list(consume)
+    assert counts[11] == len(top) == 35696
+    assert counting_peak < list_size, (counting_peak, list_size)
+
+
+def test_counting_below_the_smallest_pattern_holds_no_level():
+    # none of the 2,390,480 involutions of size 14 is built: counting the
+    # empty set to 14 keeps only the counts and the matching numbers
+    import tracemalloc
+
+    for refine in (False, True):
+        tracemalloc.start()
+        try:
+            table = count_table(PatternSet([], Mode.I), Mode.I, 14, refine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.counts[14] == involution_count_oracle(14)
+        assert peak < 1_000_000, (refine, peak)
 
 
 def test_no_tables_where_nothing_is_checked():
@@ -205,6 +241,73 @@ def test_no_tables_where_nothing_is_checked():
     # list of the 35,696 size-11 involutions; tables at every level would
     # take it past half
     decreasing = tuple(range(11, 0, -1))
-    counting_peak, table, top, list_size = _counting_peak_and_top_list([decreasing])
+    counting_peak, table, top, list_size = _counting_peak_and_top_list(
+        _count_table_to_11([decreasing]))
     assert table.counts[11] == len(top) - 1
     assert counting_peak < list_size / 2, (counting_peak, list_size)
+
+
+def _engine_tally(ps, ambient, n_max):
+    """Per size 0..n_max, the avoiders' count by fixed points, tallied from
+    the level engine consumed directly: the oracle for the ambient counts
+    read below the smallest pattern size."""
+    by_size = []
+    for _, members in avoider_levels(ps, ambient, n_max):
+        by_fix = {}
+        for tau in members:
+            m = sum(1 for i, v in enumerate(tau, 1) if i == v)
+            by_fix[m] = by_fix.get(m, 0) + 1
+        by_size.append(by_fix)
+    return by_size
+
+
+@pytest.mark.parametrize("patterns, mode, ambient", [
+    ((), Mode.I, Mode.I),
+    ((), Mode.F, Mode.F),
+    ((), Mode.IPRIME, Mode.I),
+    ((), Mode.CLASSICAL, Mode.I),
+    ((), Mode.I, Mode.F),
+    (((5, 4, 3, 2, 1),), Mode.I, Mode.I),
+    (((1, 2, 3, 4, 5),), Mode.CLASSICAL, Mode.F),
+    (((2, 1, 4, 3),), Mode.F, Mode.F),
+    (PI_SMOOTH, Mode.IPRIME, Mode.I),
+    (PI_PRIME, Mode.F, Mode.F),
+])
+@pytest.mark.parametrize("refine", [False, True])
+def test_count_table_matches_the_engine(patterns, mode, ambient, refine):
+    ps = PatternSet(patterns, mode)
+    by_size = _engine_tally(ps, ambient, 10)
+    sizes = [n for n in range(1, 11) if not (ambient is Mode.F and n % 2)]
+    table = count_table(ps, ambient, 10, refine)
+    assert table.counts == {n: sum(by_size[n].values()) for n in sizes}
+    assert table.refined == ({(n, m): c for n in sizes for m, c in by_size[n].items()}
+                             if refine else None)
+    assert _level_counts(ps, ambient, 10) == [sum(by_fix.values()) for by_fix in by_size]
+    for n, by_fix in enumerate(by_size):
+        assert count_avoiders(ps, ambient, n, refine) == (by_fix if refine else sum(by_fix.values()))
+
+
+_COUNTERS = pytest.mark.parametrize("counter", [count_table, count_avoiders, _level_counts],
+                                    ids=lambda f: f.__name__)
+
+
+@_COUNTERS
+@pytest.mark.parametrize("size", [1, 4])
+def test_counting_rejects_f_mode_sets_outside_matchings(counter, size):
+    # size 1 lies below the pattern, where the engine is not run
+    with pytest.raises(ValueError, match="F-mode pattern sets only filter matchings"):
+        counter(PatternSet([(2, 1)], Mode.F), Mode.I, size)
+
+
+@_COUNTERS
+@pytest.mark.parametrize("patterns", [(), ((1, 2, 3),)])
+def test_counting_rejects_a_classical_ambient(counter, patterns):
+    with pytest.raises(ValueError, match="ambient must be one of the involution/matching orders"):
+        counter(PatternSet(patterns, Mode.I), Mode.CLASSICAL, 4)
+
+
+@_COUNTERS
+@pytest.mark.parametrize("ambient", [Mode.I, Mode.F])
+def test_counting_rejects_a_negative_size(counter, ambient):
+    with pytest.raises(ValueError, match="size must be nonnegative"):
+        counter(PatternSet([], Mode.I), ambient, -1)
