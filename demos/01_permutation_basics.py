@@ -34,12 +34,10 @@ print("matching code of 2143:", fpf_code(rho))
 print("\nodd gap holds for 21354:", odd_fix_gap(parse_perm("21354")))
 print("odd gap holds for 2143:", odd_fix_gap(rho))
 
-# generators stream in lexicographic order and can be partitioned
+# generators stream in lexicographic order
 print("\ninvolutions of size 4:",
       " ".join(format_perm(t) for t in generate_involutions(4)))
 print("matchings of size 4:",
       " ".join(format_perm(t) for t in generate_fpf(4)))
-print("block tau(1)=2 of size 4:",
-      " ".join(format_perm(t) for t in generate_involutions(4, first_value=2)))
 
 print("\nreverse-complement of 132:", format_perm(reverse_complement((1, 3, 2))))

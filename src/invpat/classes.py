@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 # one_step_down, generate_involutions and generate_fpf stay importable
 # here: bench/tracing.py wraps them by name
-from .containment import (Mode, _iter_images, check_for_mode,  # noqa: F401
-                          closed_classical_check, one_step_down)
+from .containment import (Mode, check_for_mode, closed_classical_check,  # noqa: F401
+                          one_step_down)
 from .core import (Perm, format_cycles, format_perm, generate_fpf,  # noqa: F401
                    generate_involutions, is_fpf)
 
@@ -49,6 +49,22 @@ class PatternSet:
         return f"{{{body}}} ({self.mode.value})"
 
 
+def _checked_floor(ps: PatternSet, ambient: Mode, max_size: int) -> int:
+    """
+    The *floor* of ps, its smallest pattern size (max_size + 1 for the
+    empty set), once the engine's input is checked: the ambient is an
+    involution or matching order, the size is nonnegative, and an
+    ``F``-mode set is read only in the matchings.
+    """
+    if ambient is Mode.CLASSICAL:
+        raise ValueError("ambient must be one of the involution/matching orders")
+    if max_size < 0:
+        raise ValueError("size must be nonnegative")
+    if ps.mode is Mode.F and ambient is not Mode.F:
+        raise ValueError("F-mode pattern sets only filter matchings")
+    return min((len(p) for p in ps.patterns), default=max_size + 1)
+
+
 def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
                    violators: list[Perm] | None = None):
     """
@@ -67,8 +83,8 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     container of a classical one.  The closed excluded candidates are the
     minimal violators; they are appended to ``violators`` if given.  Below
     the smallest pattern size, the *floor*, every candidate is a member,
-    and the images of a size-floor candidate lie below it, so closure is
-    checked only above the floor.
+    and the images of a size-floor candidate lie below it, so closure can
+    fail only above the floor.
 
     Closure is decided by image pointers: no image is built or hashed.  A
     member is named by its index in its level.  Deleting U from c gives
@@ -77,15 +93,15 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     collapse of sigma's adjacent 2-cycle (a, a+1) deletes position a+1
     and is lost when s = a+1, and U = (n-1, n) adds the collapse image
     sigma + (n-1,).  So c is closed iff each (id of sigma - u, slot)
-    names a member one or two sizes down.  To look that up, the levels
-    from floor - 1 to ``max_size`` - 1 hold two integer arrays, and only
-    when some size above the floor is checked: the size-m member grown
-    from (parent id, slot) at index parent id * m + slot (-1 where none
-    grew), and per member a flat run of its images' ids, in the order
-    :func:`invpat.containment._iter_images` yields them.  A member checked
-    above the floor gets its run from its own check; at floor - 1 and
-    floor the run is looked up from one ``_iter_images`` pass.  The
-    candidate tuple is built only for closed candidates.
+    names a member one or two sizes down.  To look that up, when some
+    size above the floor is checked, every level below ``max_size`` holds
+    two integer arrays: the size-m member grown from (parent id, slot) at
+    index parent id * m + slot (-1 where none grew), and per member a flat
+    run of its images' ids, in the order
+    :func:`invpat.containment._iter_images` yields them.  Every member
+    gets its run from its own check, which always passes up to the floor;
+    when no size above the floor is checked, no table is held and nothing
+    is checked.  The candidate tuple is built only for closed candidates.
 
     A classical set is checked only where a pattern can still occur.
     Every candidate that reaches the check is closed, so its one-step
@@ -108,24 +124,19 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     >>> found
     [(4, 3, 2, 1)]
     """
-    if ambient is Mode.CLASSICAL:
-        raise ValueError("ambient must be one of the involution/matching orders")
-    if max_size < 0:
-        raise ValueError("size must be nonnegative")
+    floor = _checked_floor(ps, ambient, max_size)
     if ps.mode is Mode.CLASSICAL:
         order = ambient
         excluded = closed_classical_check(ps.patterns)
-    elif ps.mode is Mode.F and ambient is not Mode.F:
-        raise ValueError("F-mode pattern sets only filter matchings")
     else:
         order = ps.mode
         excluded = ps.patterns.__contains__
-    floor = min((len(p) for p in ps.patterns), default=max_size + 1)
     fpf_only = ambient is Mode.F and order is not Mode.F
     fix_ok = order is not Mode.F
     collapse_ok = order is Mode.I
-    # levels from here up to max_size - 1 hold tables; none if nothing is checked
-    held = floor - 1 if floor < max_size else max_size
+    # closure is checked, and the levels below max_size hold tables, at
+    # every size or at none
+    check = floor < max_size
     past = max_size + 1             # stands for "no second deleted position"
 
     def units(sigma: Perm) -> list[tuple[int, int, int, int, int]]:
@@ -146,14 +157,13 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     def grow(n: int, last, older, below, table):
         """Yield the size-n members, checked against the tables ``below`` of
         sizes n-1 and n-2.  With a ``table`` (kids, runs), record each
-        member's key (parent id, slot) and, when checked, its image ids."""
+        member's key (parent id, slot) and its image ids."""
         if n == 0:
             if floor > 0 or not excluded(()):
                 yield ()
             elif violators is not None:
                 violators.append(())
             return
-        check = n > floor
         screen = n >= floor
         kids, runs = table or (None, None)
         found = 0
@@ -184,9 +194,8 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
                 continue
             if kids is not None:
                 kids[j * n] = found
-                if check:
-                    runs.extend(ids)
-                    runs.append(j)
+                runs.extend(ids)
+                runs.append(j)
             found += 1
             yield tau
 
@@ -227,11 +236,10 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
                     continue
                 if kids is not None:
                     kids[j * n + s] = found
-                    if check:
-                        # U's images go after the units that start below s
-                        at = sum(1 for e in ents if e[0] < s and e[3] != s)
-                        ids[at:at] = [j, tail] if collapse_ok and s == n - 1 else [j]
-                        runs.extend(ids)
+                    # U's images go after the units that start below s
+                    at = sum(1 for e in ents if e[0] < s and e[3] != s)
+                    ids[at:at] = [j, tail] if collapse_ok and s == n - 1 else [j]
+                    runs.extend(ids)
                 found += 1
                 yield tau
 
@@ -240,13 +248,10 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     older_tables = last_tables = (array("i"), array("i"))     # sizes -2 and -1: empty
     for n in range(max_size):
         tables = None
-        if n >= held:
+        if check:
             # key parent id * n + slot -> id, -1 where no member grew
             tables = (array("i", [-1]) * (max(len(last), len(older)) * n), array("i"))
         level = list(grow(n, last, older, (last_tables, older_tables), tables))
-        if tables and n <= floor:
-            index = {tau: i for members in (older, last) for i, tau in enumerate(members)}
-            tables[1].extend(index[img] for tau in level for img in _iter_images(tau, order))
         yield n, [tau for tau in level if is_fpf(tau)] if fpf_only else level
         older, last = last, level
         older_tables, last_tables = last_tables, tables

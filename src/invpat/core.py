@@ -13,9 +13,7 @@ Conventions used throughout the package:
   involution of even size with no fixed points.  The empty permutation
   counts as one.
 
-Generators emit words in lexicographic one-line order and can be
-restricted to a fixed first value, which splits a size into disjoint
-blocks.
+Generators emit words in lexicographic one-line order.
 """
 from __future__ import annotations
 
@@ -180,20 +178,17 @@ def generate_permutations(n: int) -> Iterator[Perm]:
     return iter(permutations(range(1, n + 1)))
 
 
-def generate_involutions(n: int, first_value: int | None = None) -> Iterator[Perm]:
+def generate_involutions(n: int) -> Iterator[Perm]:
     """
     All involutions of size n in lexicographic one-line order.
-
-    With ``first_value=v`` only the words with tau(1) = v are produced,
-    which partitions the full run into n disjoint blocks.
 
     >>> list(generate_involutions(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
-    yield from _involutions(n, first_value, fpf=False)
+    yield from _involutions(n, fpf=False)
 
 
-def generate_fpf(n: int, first_value: int | None = None) -> Iterator[Perm]:
+def generate_fpf(n: int) -> Iterator[Perm]:
     """
     All fixed-point-free involutions of size n (empty for odd n),
     lexicographic.
@@ -203,17 +198,12 @@ def generate_fpf(n: int, first_value: int | None = None) -> Iterator[Perm]:
     """
     if n % 2:
         return
-    yield from _involutions(n, first_value, fpf=True)
+    yield from _involutions(n, fpf=True)
 
 
-def _involutions(n: int, first_value: int | None, fpf: bool) -> Iterator[Perm]:
+def _involutions(n: int, fpf: bool) -> Iterator[Perm]:
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if first_value is not None:
-        if not 1 <= first_value <= n:
-            return
-        if fpf and first_value == 1:
-            return
     word = [0] * n
 
     def fill(i: int) -> Iterator[Perm]:
@@ -232,15 +222,7 @@ def _involutions(n: int, first_value: int | None, fpf: bool) -> Iterator[Perm]:
                 yield from fill(i + 1)
                 word[i] = word[j] = 0
 
-    if first_value is None:
-        yield from fill(0)
-    elif first_value == 1:
-        if not fpf:
-            word[0] = 1
-            yield from fill(1)
-    else:
-        word[0], word[first_value - 1] = first_value, 1
-        yield from fill(1)
+    yield from fill(0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb, factorial
 
 # class_members stays importable here: bench/tracing.py wraps it by name
-from .classes import PatternSet, avoider_levels, class_members  # noqa: F401
+from .classes import PatternSet, _checked_floor, avoider_levels, class_members  # noqa: F401
 from .containment import Mode
 from .core import fixed_points
 
@@ -140,19 +140,14 @@ def _tallies(ps: PatternSet, ambient: Mode, n_max: int,
     the tally is the ambient count: C(n, m) * (n-m-1)!! involutions with m
     fixed points, or the (n-1)!! matchings in ``F``.  From the floor up
     the sizes are tallied from one pass of the level engine, which is not
-    run at all when the floor lies above n_max.  Bad input raises the
-    engine's ``ValueError`` whether or not the engine runs.
+    run at all when the floor lies above n_max.  The floor comes with the
+    engine's input checks, so bad input raises the engine's ``ValueError``
+    whether or not the engine runs.
 
     >>> dict(_tallies(PatternSet([], Mode.I), Mode.I, 3, True))
     {0: {0: 1}, 1: {1: 1}, 2: {0: 1, 2: 1}, 3: {1: 3, 3: 1}}
     """
-    if ambient is Mode.CLASSICAL:
-        raise ValueError("ambient must be one of the involution/matching orders")
-    if n_max < 0:
-        raise ValueError("size must be nonnegative")
-    if ps.mode is Mode.F and ambient is not Mode.F:
-        raise ValueError("F-mode pattern sets only filter matchings")
-    floor = min((len(p) for p in ps.patterns), default=n_max + 1)
+    floor = _checked_floor(ps, ambient, n_max)
     f_counts = [matching_count(k) for k in range(min(floor, n_max + 1))]
     for n in range(low, len(f_counts)):
         terms = [f_counts[n]] if ambient is Mode.F else _fixed_point_terms(n, f_counts)
@@ -395,14 +390,17 @@ def _fixed_point_terms(n: int, f_counts: list[int]) -> list[int]:
     return [comb(n, m) * f_counts[n - m] for m in range(n + 1)]
 
 
-def check_fixed_point_identity(r: PatternSet, n_max: int,
-                               subset_limit: int = 8) -> bool:
+# largest size at which check_fixed_point_identity tries every fixed set
+SUBSET_LIMIT = 8
+
+
+def check_fixed_point_identity(r: PatternSet, n_max: int) -> bool:
     """
     Removing fixed points is a bijection onto matchings avoiding the
     same fixed-point-free patterns: for every n <= n_max and m,
     #avoiders with m fixed points = C(n,m) * #matching avoiders of size
-    n-m, and (up to subset_limit) the count with a prescribed fixed set
-    does not depend on the set.
+    n-m, and (up to ``SUBSET_LIMIT``) the count with a prescribed fixed
+    set does not depend on the set.
     """
     if r.mode is not Mode.F:
         raise ValueError("the identity needs fixed-point-free patterns")
@@ -414,11 +412,11 @@ def check_fixed_point_identity(r: PatternSet, n_max: int,
         for tau in members:
             fp = frozenset(fixed_points(tau))
             by_fix[len(fp)] += 1
-            if n <= subset_limit:
+            if n <= SUBSET_LIMIT:
                 by_set[fp] = by_set.get(fp, 0) + 1
         if by_fix != _fixed_point_terms(n, f_counts):
             return False
-        if n <= subset_limit:
+        if n <= SUBSET_LIMIT:
             for m in range(n + 1):
                 for s in combinations(range(1, n + 1), m):
                     if by_set.get(frozenset(s), 0) != f_counts[n - m]:

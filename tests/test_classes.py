@@ -137,8 +137,9 @@ def _tuple_closure_levels(ps, ambient, max_size):
 def test_image_pointers_match_tuple_closure(involutions_by_size):
     # the engine against the tuple-and-set closure it replaced: per-level
     # members and the violators, on every set of the scan test to 8, on
-    # the paper's sets further up, and where the tables are first seeded
-    # at the top size, one below it or two below it
+    # the paper's sets further up, and with the floor at the top size
+    # (no tables), one below it or two below it, also at top 10, where
+    # the checks fill the tables of every level below the floor
     from invpat.mcgovern import PI_PRIME, PI_SMOOTH
 
     cases = [(ps, ambient, 8) for ps, ambient in _level_cases(involutions_by_size)]
@@ -156,6 +157,11 @@ def test_image_pointers_match_tuple_closure(involutions_by_size):
             if size % 2 == 0:
                 matching = tuple(range(size // 2 + 1, size + 1)) + tuple(range(1, size // 2 + 1))
                 cases.append((PatternSet([matching], Mode.F), Mode.F, top))
+    for size in (9, 10):
+        decreasing = tuple(range(size, 0, -1))
+        for mode in (Mode.I, Mode.IPRIME):
+            cases.append((PatternSet([decreasing], mode), mode, 10))
+    cases.append((PatternSet([tuple(range(9, 0, -1))], Mode.CLASSICAL), Mode.I, 10))
     for ps, ambient, top in cases:
         violators = []
         levels = [set(members) for _, members in avoider_levels(ps, ambient, top, violators)]

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 import invpat.core as core
 from invpat.core import (cycles, format_cycles, format_perm, fpf_code,
-                         fpf_visible_descents, generate_fpf,
-                         generate_involutions, generate_permutations, inverse,
-                         involution_code, lr_minima, odd_fix_gap, parse_perm,
-                         reverse_complement, skew_sum, standardize,
-                         visible_descents)
+                         fpf_visible_descents, generate_involutions,
+                         generate_permutations, inverse, involution_code,
+                         lr_minima, odd_fix_gap, parse_perm, reverse_complement,
+                         skew_sum, standardize, visible_descents)
 from conftest import involution_count_oracle
 
 
@@ -128,18 +127,6 @@ def test_generator_counts_to_14():
     assert involution_count_oracle(16) == 46_206_736
     for n in range(9, 15):
         assert sum(1 for _ in generate_involutions(n)) == involution_count_oracle(n)
-
-
-def test_generator_prefix_partition():
-    for n in (5, 6):
-        whole = list(generate_involutions(n))
-        blocks = [t for v in range(1, n + 1)
-                  for t in generate_involutions(n, first_value=v)]
-        assert whole == blocks
-        fwhole = list(generate_fpf(n))
-        fblocks = [t for v in range(1, n + 1)
-                   for t in generate_fpf(n, first_value=v)]
-        assert fwhole == fblocks
 
 
 def test_codes_and_descents(involutions_by_size, matchings_by_size):
