@@ -27,9 +27,13 @@ has a classical container, every unit deletion of a size-n avoider
 avoids classically, so an occurrence of p that missed a unit would
 survive into a smaller container: every occurrence touches every unit,
 and p is tried only on avoiders with at most |p| units
-(:func:`invpat.containment.closed_classical_check`).  After the first
-size that has a container, the sweep falls back to checking every
-pattern on every avoider.
+(:func:`invpat.containment.closed_classical_check`).  That check also
+cuts the set to its classically minimal patterns.  In part 1, 24 of the
+26 patterns of ``PI_SMOOTH`` contain 2143 or 1324, so only those two are
+searched, and never on an avoider with more than four units; part 2's
+``PI_PRIME`` is already minimal.  After the first size that has a
+container, the sweep falls back to checking every pattern on every
+avoider.
 :func:`_brute_force_row` scans every element of one size instead and
 is the oracle the tests compare the sweep against.
 """

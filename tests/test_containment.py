@@ -8,6 +8,7 @@ from invpat.containment import (Mode, PatternChecker, avoids_all, contains,
                                 contains_classical, contains_fast,
                                 delete_positions, down_set, one_step_down)
 from invpat.core import generate_fpf, generate_involutions, parse_perm, standardize
+from invpat.mcgovern import PI, PI_PRIME, PI_SMOOTH
 
 
 def test_doctests():
@@ -57,8 +58,6 @@ def test_compiled_classical_matches_oracle_on_permutations():
 
 
 def test_compiled_classical_matches_oracle_on_pattern_sets():
-    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
-
     def checked(tau, p):
         return PatternChecker([p], Mode.CLASSICAL).contains_any(tau)
 
@@ -239,12 +238,15 @@ def test_classical_mode_rejects_non_permutations():
 
 def test_closed_classical_check_tries_only_patterns_with_enough_entries(
         involutions_by_size, monkeypatch):
-    # the check tries p only where units(tau) <= |p|, with the units read
-    # off the cycles, and searches through PatternChecker.contains_any
-    # (which bench/tracing.py counts) or not at all
+    # the set cuts to its minimal patterns 12 and 321 (2143, 14325 and
+    # 351624 each contain 12), and the check tries p only where
+    # units(tau) <= |p|, with the units read off the cycles, searching
+    # through PatternChecker.contains_any (which bench/tracing.py counts)
+    # or not at all
     from invpat.core import fixed_points, two_cycles
 
     pats = [(1, 2), (3, 2, 1), (2, 1, 4, 3), parse_perm("14325"), parse_perm("351624")]
+    minimal = [(1, 2), (3, 2, 1)]
     check = containment.closed_classical_check(pats)
     calls = []
     real = PatternChecker.contains_any
@@ -255,5 +257,50 @@ def test_closed_classical_check_tries_only_patterns_with_enough_entries(
             units = len(fixed_points(tau)) + len(two_cycles(tau))
             calls.clear()
             assert check(tau) == any(contains_classical(tau, p)
-                                     for p in pats if units <= len(p)), tau
-            assert calls == ([tau] if units <= 6 else []), tau
+                                     for p in minimal if units <= len(p)), tau
+            assert calls == ([tau] if units <= 3 else []), tau
+
+
+# a duplicate, patterns nested in smaller ones (1432 and 21543 contain
+# 321, 21543 contains 2143) and 3412, which contains neither
+NESTED = [(3, 2, 1), (3, 2, 1), (2, 1, 4, 3), (1, 4, 3, 2), (3, 4, 1, 2),
+          (2, 1, 5, 4, 3)]
+
+
+def _minimal_oracle(patterns):
+    """The patterns with no other pattern of the set among their subsequences."""
+    others = set(patterns)
+    return {p for p in others
+            if not any(standardize(sub) in others - {p}
+                       for k in range(len(p)) for sub in combinations(p, k))}
+
+
+def test_classically_minimal_patterns():
+    minimal = containment._classically_minimal
+    assert minimal(PI_SMOOTH) == ((1, 3, 2, 4), (2, 1, 4, 3))
+    assert len(minimal(PI)) == 18
+    assert set(minimal(PI_PRIME)) == set(PI_PRIME) and len(minimal(PI_PRIME)) == 17
+    assert minimal(NESTED) == ((3, 2, 1), (2, 1, 4, 3), (3, 4, 1, 2))
+    assert minimal([]) == ()
+    for pats in (PI_SMOOTH, PI, PI_PRIME, NESTED):
+        assert set(minimal(pats)) == _minimal_oracle(pats)
+    with pytest.raises(ValueError):
+        containment.closed_classical_check([(1, 1)])
+
+
+@pytest.mark.parametrize("pats", [PI_SMOOTH, PI, NESTED], ids=["PI_SMOOTH", "PI", "NESTED"])
+def test_closed_classical_check_matches_full_set_on_closed_candidates(pats):
+    # on every involution to 9 and matching to 10 whose one-step images
+    # all avoid the set classically, the check over the minimal patterns
+    # answers as PatternChecker does over the whole set
+    full = PatternChecker(pats, Mode.CLASSICAL).contains_any
+    check = containment.closed_classical_check(pats)
+    pools = [(Mode.IPRIME, t) for n in range(10) for t in generate_involutions(n)]
+    pools += [(Mode.F, t) for n in range(0, 11, 2) for t in generate_fpf(n)]
+    closed = hits = 0
+    for mode, tau in pools:
+        if not any(full(img) for img in one_step_down(tau, mode)):
+            closed += 1
+            hits += full(tau)
+            assert check(tau) == full(tau), tau
+    assert 0 < hits < closed

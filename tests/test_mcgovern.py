@@ -121,6 +121,18 @@ def test_cross_check_with_basis():
         assert checker.contains_any(beta)
 
 
+@pytest.mark.parametrize("ambient, size, smallest_new", [
+    (Mode.IPRIME, 32, "216543"), (Mode.I, 21, "12437856")])
+def test_basis_negative_control(ambient, size, smallest_new):
+    # PI without 2143 and 1324 is not closed in the deletion orders: its
+    # basis holds elements outside PI, so a basis that reads back as the
+    # pattern set itself (as PI_SMOOTH's does) is not vacuous
+    basis = compute_basis(PatternSet(PI, Mode.CLASSICAL), ambient, 8).all_elements()
+    outside = [beta for beta in basis if beta not in PI]
+    assert len(basis) == size
+    assert min(outside, key=lambda p: (len(p), p)) == parse_perm(smallest_new)
+
+
 def test_sweep_falls_back_after_a_late_counterexample(monkeypatch):
     # drop only the size-6 pattern 426153 from the set the I' levels are
     # grown against: sizes 1..5 are clean, and from size 6 on the levels
