@@ -5,8 +5,9 @@ Two pattern families classify when orbit closures on the flag variety
 are (rationally) smooth.  The point verified computationally: over the
 relevant sets, avoidance in the deletion orders coincides with plain
 classical avoidance, so the geometric criteria can be read off from
-subsequences alone.  The sweeps below go to sizes 10 and 12; the full
-reproduction to size 16 is
+subsequences alone.  The sweeps below go to sizes 10 and 12; the run
+to size 16, twice the largest pattern size, proves the equalities for
+every size:
 
     invpat verify-mcgovern --to 16
 """

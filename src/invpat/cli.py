@@ -6,16 +6,17 @@ Subcommands:
 - ``count``: avoider counts by size, optionally against the closed form
   and refined by fixed points.
 - ``basis``: minimal violators of classical patterns in a deletion order.
-- ``verify-mcgovern``: the equality sweeps over the deletion-order
-  avoiders; size 16 is ``--to 16``.
+- ``verify-mcgovern``: the equality sweeps; ``--to 16`` proves both
+  equalities for every size.
 - ``bijection``: map an involution to its even-level path and back.
 - ``identities``: the counting identities (block-pattern symmetry,
   fixed-point factorization, three-term recurrence, continued fraction).
 
 Everything is exhaustive and deterministic; exit status 0 iff all
 requested checks pass, and 2 on bad arguments such as a ``--to`` below
-1 (below 2 for ``count --mode F``).  ``--format rows`` prints
-tab-separated rows with a header instead of aligned text.
+1 (below 2 for ``count --mode F`` and for part 2 of
+``verify-mcgovern``).  ``--format rows`` prints tab-separated rows with
+a header instead of aligned text.
 """
 from __future__ import annotations
 
@@ -102,6 +103,10 @@ def cmd_basis(args) -> int:
 def cmd_verify_mcgovern(args) -> int:
     from .mcgovern import verify_part1, verify_part2
 
+    if args.part != 1 and args.to < 2:
+        print(f"part 2 sweeps matchings, which have even sizes: --to must be "
+              f"at least 2, got {args.to}", file=sys.stderr)
+        return 2
     progress = None
     if args.progress:
         def progress(part, row, members, took, elapsed):

@@ -430,7 +430,9 @@ def closed_classical_check(patterns):
     minimal patterns of size >= units(c); a candidate with more units
     than the largest minimal pattern is not searched at all.  On any other
     haystack the answer may be wrong: (1, 2, 3) contains 12, but so does
-    its image (1, 2).
+    its image (1, 2).  Its one caller is the level engine
+    :func:`invpat.classes.avoider_levels`, which checks only closed
+    candidates.
 
     >>> check = closed_classical_check([(1, 2), (3, 2, 1), (1, 3, 2)])
     >>> check((3, 2, 1)), check((1, 2)), check((1, 2, 3))

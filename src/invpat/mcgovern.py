@@ -3,37 +3,29 @@ The smoothness pattern sets and the exhaustive equality sweeps.
 
 Two families of patterns classify (rational) smoothness of the
 orthogonal and symplectic orbit closures on the flag variety.  The
-combinatorial content verified here: on involutions, avoiding the
-augmented set in the two-relation deletion order, the full three-
-relation order, and classically all coincide (checked size by size);
-on matchings the cycle-respecting and classical orders coincide for the
-symplectic set.
+combinatorial content verified here, at every size: on involutions,
+avoiding the augmented set in the two-relation deletion order, the full
+three-relation order, and classically all coincide; on matchings the
+cycle-respecting and classical orders coincide for the symplectic set.
 
-Every deletion relation removes entries, so classical avoiders of a
-set avoid it in every deletion order: classical avoiders are contained
-in the I-avoiders, which are contained in the I'-avoiders (and, for
-matchings, in the F-avoiders).  A sweep therefore visits only the
-deletion-order avoiders, grown size by size with a generating tree by
-the level engine :func:`invpat.classes.avoider_levels` (closure is
-decided by image-id lookups, and the top size is streamed, not stored),
-and runs the classical check on those; a counterexample is an avoider
-that contains a pattern classically.  The totals per size come from the
-closed counts, not from a scan.
+Every deletion removes entries, so for a set S and a deletion order X,
+Av_cl(S) is contained in Av_I(S), which is contained in Av_I'(S) (and,
+for matchings, Av_cl(S) in Av_F(S)).  A sweep is the pass
+:func:`invpat.classes.compute_basis` runs: the level engine
+:func:`invpat.classes.avoider_levels` grows Av_cl(S) in X (I' for part
+1, F for part 2), and its *violators*, the closed candidates that
+contain a pattern, form the basis of Av_cl(S) in X.  A violator outside
+S is a counterexample: it is no pattern, and its one-step images avoid
+S.  Conversely, below a counterexample tau of the smallest size m that
+has one lies a basis element b, which avoids S in X as tau does, so b
+is outside S, of size m, and b = tau.  So the counterexamples of size m are the
+violators outside S, smaller sizes have none, and the sweep stops at m.
 
-The classical check runs only where a pattern can still occur.  The
-avoiders are closed under deleting a *unit* (a fixed point or a
-2-cycle), a one-step deletion in both orders.  While no smaller size
-has a classical container, every unit deletion of a size-n avoider
-avoids classically, so an occurrence of p that missed a unit would
-survive into a smaller container: every occurrence touches every unit,
-and p is tried only on avoiders with at most |p| units
-(:func:`invpat.containment.closed_classical_check`).  That check also
-cuts the set to its classically minimal patterns.  In part 1, 24 of the
-26 patterns of ``PI_SMOOTH`` contain 2143 or 1324, so only those two are
-searched, and never on an avoider with more than four units; part 2's
-``PI_PRIME`` is already minimal.  After the first size that has a
-container, the sweep falls back to checking every pattern on every
-avoider.
+Each occurrence of p in a basis element touches each of its units (see
+:func:`invpat.containment.closed_classical_check`), so the basis lies
+below twice the largest pattern size, 16 for both sets: a sweep that
+reaches it with no counterexample proves equality at every size.  The
+totals per size come from the closed counts, not from a scan.
 :func:`_brute_force_row` scans every element of one size instead and
 is the oracle the tests compare the sweep against.
 """
@@ -43,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from .classes import PatternSet, avoider_levels
-from .containment import Mode, PatternChecker, closed_classical_check
+from .containment import Mode, PatternChecker
 from .core import (Perm, check_fpf, check_involution, generate_fpf,
                    generate_involutions, odd_fix_gap, parse_perm)
 from .enumeration import involution_count, matching_count
@@ -97,10 +89,11 @@ class SizeRow:
     n: int
     total: int = 0
     classical_avoiders: int = 0
-    # classical violators missed by the deletion orders
+    # counterexamples, the classical containers that avoid the set in a
+    # deletion order; only the last row of a sweep can have them
     extra_coarse: int = 0        # avoid in the two-relation / matching order
     extra_full: int = 0          # avoid in the three-relation order (part 1 only)
-    counterexample: Perm | None = None
+    counterexample: Perm | None = None      # the smallest
 
     @property
     def equal(self) -> bool:
@@ -136,44 +129,48 @@ class SweepReport:
                 + (f"full={avoid + row.extra_full:<9d} " if self.part == 1 else "")
                 + ("equal" if row.equal else "UNEQUAL counterexample="
                    + (format_perm(row.counterexample) if row.counterexample else "?")))
-        verdict = "equal at all sizes" if self.equal else "EQUALITY FAILS"
-        lines.append(f"  => {verdict} <= {self.max_size}")
+        patterns = PI_SMOOTH if self.part == 1 else PI_PRIME
+        if not self.equal:
+            verdict = f"EQUALITY FAILS at size {len(self.first_counterexample())}"
+        elif self.max_size >= 2 * max(map(len, patterns)):
+            verdict = ("equal at every size (no basis element outside the set "
+                       f"to size {self.max_size})")
+        else:
+            verdict = f"equal at all sizes <= {self.max_size}"
+        lines.append(f"  => {verdict}")
         return "\n".join(lines)
 
 
 def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
-    if max_size < 1:
-        raise ValueError("max_size must be positive")
     if part == 1:
-        patterns, mode, count = PI_SMOOTH, Mode.IPRIME, involution_count
+        patterns, order, count = PI_SMOOTH, Mode.IPRIME, involution_count
         full = PatternChecker(PI_SMOOTH, Mode.I)
     else:
-        patterns, mode, count = PI_PRIME, Mode.F, matching_count
+        patterns, order, count = PI_PRIME, Mode.F, matching_count
         full = None
-    # exact while no smaller size has a classical container
-    check = closed_classical_check(patterns)
+    if max_size < part:     # the smallest nonempty matching has size 2
+        raise ValueError(f"part {part} needs max_size at least {part}, got {max_size}")
     report = SweepReport(part, max_size)
+    violators: list[Perm] = []
     start = tick = time.perf_counter()
-    for n, members in avoider_levels(PatternSet(patterns, mode), mode, max_size):
+    for n, members in avoider_levels(PatternSet(patterns, Mode.CLASSICAL), order,
+                                     max_size, violators):
+        # members first: the top level's violators appear as it is consumed
+        visited = sum(1 for _ in members)
+        missed = [tau for tau in violators if tau not in patterns]
+        violators.clear()
         if n == 0 or (part == 2 and n % 2):
             continue
-        visited = 0
-        containers = []
-        for tau in members:
-            visited += 1
-            if check(tau):
-                containers.append(tau)
-        if containers:
-            check = PatternChecker(patterns, Mode.CLASSICAL).contains_any
-        missed_full = (len(containers) if full is None
-                       else sum(not full.contains_any(tau) for tau in containers))
-        row = SizeRow(n, count(n), visited - len(containers), len(containers),
-                      missed_full, min(containers, default=None))
+        row = SizeRow(n, count(n), visited, len(missed),
+                      sum(full is None or not full.contains_any(tau) for tau in missed),
+                      min(missed, default=None))
         report.rows[n] = row
         if progress:
             now = time.perf_counter()
             progress(part, row, visited, now - tick, now - start)
             tick = now
+        if missed:
+            break
     return report
 
 
@@ -208,11 +205,11 @@ def verify_part1(max_size: int, progress=None) -> SweepReport:
     """
     Involutions: the augmented pattern set is avoided classically iff in
     the two-relation order iff in the full deletion order, for every
-    size <= max_size.
+    size <= max_size (at least 1), and for every size once max_size >= 16.
 
     ``progress``, if given, is called after each size as
     ``progress(part, row, members, size_s, elapsed_s)``: the number of
-    avoiders visited, the seconds this size took and since the start.
+    avoiders grown, the seconds this size took and since the start.
 
     >>> verify_part1(6).equal
     True
@@ -223,7 +220,8 @@ def verify_part1(max_size: int, progress=None) -> SweepReport:
 def verify_part2(max_size: int, progress=None) -> SweepReport:
     """
     Matchings: the symplectic pattern set is avoided classically iff in
-    the matching order, for every even size <= max_size.
+    the matching order, for every even size <= max_size (at least 2),
+    and for every size once max_size >= 16.
 
     >>> verify_part2(6).equal
     True

@@ -262,6 +262,27 @@ def test_basis_completeness_all_size3_sets(involutions_by_size):
                     assert basis & downs[tau], (pats, tau)
 
 
+def test_basis_lies_below_twice_the_largest_pattern():
+    # the bound that lets a finite basis search decide a class at every
+    # size: for every nonempty set of patterns of size <= 3 and every
+    # size-4 singleton, a search two sizes past twice the largest pattern
+    # finds nothing above it, in every deletion order
+    from itertools import combinations, permutations
+
+    small = [p for k in (1, 2, 3) for p in permutations(range(1, k + 1))]
+    sets = [pats for r in range(1, len(small) + 1) for pats in combinations(small, r)]
+    sets += [(p,) for p in permutations(range(1, 5))]
+    assert len(sets) == 511 + 24
+    at_bound = 0
+    for pats in sets:
+        top = 2 * max(map(len, pats))
+        for ambient in (Mode.I, Mode.IPRIME, Mode.F):
+            found = compute_basis(PatternSet(pats, Mode.CLASSICAL), ambient, top + 2).max_size()
+            assert found <= top, (pats, ambient)
+            at_bound += found == top
+    assert at_bound > 0
+
+
 def test_singleton_equivalence_and_bigger_sets(involutions_by_size):
     # patterns without independent cycle pairs: deletion-order avoidance
     # equals classical avoidance, for single patterns and for every set

@@ -113,6 +113,13 @@ def test_verify_mcgovern(capsys):
     assert "equal at all sizes <= 10" in out
 
 
+@pytest.mark.parametrize("part", ["2", "0"])
+def test_verify_mcgovern_part2_needs_an_even_size(capsys, part):
+    status, out, err = run(capsys, "verify-mcgovern", "--part", part, "--to", "1")
+    assert status == 2 and out == ""
+    assert "--to must be at least 2" in err
+
+
 def test_verify_mcgovern_progress(capsys):
     status, out, err = run(capsys, "verify-mcgovern", "--part", "0", "--to", "6",
                            "--progress")

@@ -90,24 +90,44 @@ def test_avoider_level_counts_reach_pinned_tops(patterns, mode, to, top):
         assert all(grown[n] == 0 for n in range(1, to, 2))
 
 
-def test_sweep_detects_planted_counterexample(monkeypatch):
-    # sanity that the sweep machinery reports inequality: drop the two
-    # small patterns from the set the I' levels are grown against, so
-    # the levels hold classical containers
-    import invpat.mcgovern as m
+@pytest.mark.parametrize("name, patterns, to, stop, first, classical, coarse, full", [
+    pytest.param("PI_SMOOTH", PI, 9, 6, "216543", 55, 57, 55, id="PI"),
+    pytest.param("PI_SMOOTH", tuple(p for p in PI_SMOOTH if p != parse_perm("426153")),
+                 9, 6, "426153", 36, 37, 37, id="PI_SMOOTH_without_426153"),
+    pytest.param("PI_PRIME", (parse_perm("2143"),), 10, 8, "65872143", 23, 24, None,
+                 id="2143_as_PI_PRIME"),
+])
+def test_sweep_stops_at_a_real_counterexample(monkeypatch, name, patterns, to, stop,
+                                              first, classical, coarse, full):
+    # sets whose classical class is not closed in the deletion order: the
+    # sweep stops at the first size with a counterexample, and every row
+    # it reports is the row a scan of every element of that size gives
+    monkeypatch.setattr(mcgovern, name, patterns)
+    part, verify = (1, verify_part1) if name == "PI_SMOOTH" else (2, verify_part2)
+    report = verify(to)
+    assert sorted(report.rows) == list(range(part, stop + 1, part))
+    for n in report.rows:
+        assert report.rows[n] == mcgovern._brute_force_row(part, n), n
+    row = report.rows[stop]
+    assert report.first_counterexample() == row.counterexample == parse_perm(first)
+    assert row.classical_avoiders == classical
+    assert classical + row.extra_coarse == coarse
+    if full is not None:
+        assert classical + row.extra_full == full
+    text = report.to_text()
+    assert "UNEQUAL" in text and text.endswith(f"EQUALITY FAILS at size {stop}")
 
-    real = m.avoider_levels
 
-    def crippled(ps, ambient, max_size):
-        if ps.mode is Mode.IPRIME:
-            ps = PatternSet([p for p in ps.patterns if len(p) > 4], ps.mode)
-        return real(ps, ambient, max_size)
+def test_part1_certificate_covers_every_size():
+    # at twice the largest pattern size the sweep has seen the whole basis
+    assert verify_part1(16).to_text().endswith(
+        "=> equal at every size (no basis element outside the set to size 16)")
 
-    monkeypatch.setattr(m, "avoider_levels", crippled)
-    report = m.verify_part1(4)
-    assert not report.equal
-    assert report.first_counterexample() == (1, 3, 2, 4)
-    assert "UNEQUAL" in report.to_text()
+
+def test_part2_needs_a_matching_size():
+    with pytest.raises(ValueError):
+        verify_part2(1)
+    assert verify_part1(1).equal
 
 
 def test_cross_check_with_basis():
@@ -131,41 +151,3 @@ def test_basis_negative_control(ambient, size, smallest_new):
     outside = [beta for beta in basis if beta not in PI]
     assert len(basis) == size
     assert min(outside, key=lambda p: (len(p), p)) == parse_perm(smallest_new)
-
-
-def test_sweep_falls_back_after_a_late_counterexample(monkeypatch):
-    # drop only the size-6 pattern 426153 from the set the I' levels are
-    # grown against: sizes 1..5 are clean, and from size 6 on the levels
-    # hold classical containers whose occurrences may miss a unit, so
-    # the sweep must check every pattern again; compare with a filter of
-    # every involution by the crippled set
-    from invpat.core import generate_involutions
-
-    import invpat.mcgovern as m
-
-    real = m.avoider_levels
-    crippled_patterns = [p for p in PI_SMOOTH if p != parse_perm("426153")]
-
-    def crippled(ps, ambient, max_size):
-        if ps.mode is Mode.IPRIME:
-            ps = PatternSet(crippled_patterns, ps.mode)
-        return real(ps, ambient, max_size)
-
-    monkeypatch.setattr(m, "avoider_levels", crippled)
-    report = m.verify_part1(9)
-    member = PatternChecker(crippled_patterns, Mode.IPRIME)
-    classical = PatternChecker(PI_SMOOTH, Mode.CLASSICAL)
-    full = PatternChecker(PI_SMOOTH, Mode.I)
-    first = None
-    for n in range(1, 10):
-        members = [t for t in generate_involutions(n) if not member.contains_any(t)]
-        containers = [t for t in members if classical.contains_any(t)]
-        row = report.rows[n]
-        assert row.equal == (not containers), n
-        assert row.classical_avoiders + row.extra_coarse == len(members), n
-        assert row.classical_avoiders + row.extra_full == len(members) - sum(
-            full.contains_any(t) for t in containers), n
-        if containers and first is None:
-            first = min(containers)
-            assert n == 6
-    assert report.first_counterexample() == first == parse_perm("426153")
