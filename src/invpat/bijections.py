@@ -319,7 +319,6 @@ def from_skew_half(sigma: Perm, odd: bool) -> Perm:
     >>> from_skew_half((2, 1), False)
     (4, 3, 2, 1)
     """
-    sigma = check_permutation(sigma)
     top = inverse(sigma)
     return skew_sum(skew_sum(top, (1,)), sigma) if odd else skew_sum(top, sigma)
 

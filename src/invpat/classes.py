@@ -110,7 +110,9 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     that missed a unit would survive into an image.  Every occurrence
     therefore touches every unit, and p is tried only on candidates with
     at most |p| units (:func:`invpat.containment.closed_classical_check`):
-    none above twice the largest pattern size is searched.
+    none above twice the largest pattern size is searched.  If the set's
+    minimal patterns are closed under reverse-complement, a candidate's
+    mirror, which has the same size and answer, is not searched again.
 
     Only two levels are held.  Levels below ``max_size`` are lists; the
     top level is an iterator that grows its members as it is consumed,

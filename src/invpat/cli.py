@@ -112,8 +112,7 @@ def cmd_verify_mcgovern(args) -> int:
         def progress(part, row, members, took, elapsed):
             rate = members / took if took > 0 else float("inf")
             print(f"  part={part} n={row.n} members={members} "
-                  f"classical={row.classical_avoiders} elapsed={elapsed:.2f}s "
-                  f"rate={rate:.0f} members/s", file=sys.stderr)
+                  f"elapsed={elapsed:.2f}s rate={rate:.0f} members/s", file=sys.stderr)
     status = 0
     for part in ([1, 2] if args.part == 0 else [args.part]):
         fn = verify_part1 if part == 1 else verify_part2

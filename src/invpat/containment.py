@@ -32,7 +32,9 @@ points and 2-cycles); :func:`closed_classical_check` runs only those,
 and only the classically minimal patterns of the set: a pattern that
 contains another pattern of the set is avoided by every avoider of that
 other one, so dropping it changes neither the avoiders nor which
-candidates are closed.
+candidates are closed.  When those minimal patterns are closed under
+reverse-complement, a candidate's mirror is answered from the
+candidate's own search.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ import enum
 from bisect import bisect_right
 
 from .core import (Perm, check_fpf, check_involution, fixed_points,
-                   standardize, two_cycles)
+                   reverse_complement, standardize, two_cycles)
 
 
 class Mode(enum.Enum):
@@ -434,6 +436,17 @@ def closed_classical_check(patterns):
     :func:`invpat.classes.avoider_levels`, which checks only closed
     candidates.
 
+    If the minimal patterns are closed under reverse-complement (rc, the
+    conjugation by the decreasing permutation), a candidate and its
+    mirror get the same answer: rc keeps the unit count, p is contained
+    in tau iff rc(p) is contained in rc(tau), and so each checker of
+    ``by_units`` holds an rc-closed set.  The test then searches only
+    the first of each mirror pair asked at one size, keeps its verdict
+    until the mirror is asked, and drops what is left when the size
+    changes.  This holds on every haystack, closed or not.  ``PI_SMOOTH``,
+    ``PI`` and ``PI_PRIME`` are all rc-closed; a set whose cut is not
+    searches every candidate.
+
     >>> check = closed_classical_check([(1, 2), (3, 2, 1), (1, 3, 2)])
     >>> check((3, 2, 1)), check((1, 2)), check((1, 2, 3))
     (True, True, False)
@@ -447,4 +460,26 @@ def closed_classical_check(patterns):
         units = sum(v > i for i, v in enumerate(tau))
         return units <= largest and by_units[units].contains_any(tau)
 
-    return contains_any
+    if {reverse_complement(p) for p in patterns} != set(patterns):
+        return contains_any
+
+    pending: dict[Perm, bool] = {}      # searched, mirror not yet asked
+    size = -1
+
+    def contains_any_shared(tau: Perm) -> bool:
+        nonlocal size
+        units = sum(v > i for i, v in enumerate(tau))
+        if units > largest:
+            return False
+        if len(tau) != size:
+            pending.clear()
+            size = len(tau)
+        mirror = reverse_complement(tau)
+        if mirror == tau:
+            return by_units[units].contains_any(tau)
+        if mirror in pending:
+            return pending.pop(mirror)
+        verdict = pending[tau] = by_units[units].contains_any(tau)
+        return verdict
+
+    return contains_any_shared

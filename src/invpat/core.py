@@ -66,11 +66,14 @@ def identity(n: int) -> Perm:
 
 def inverse(pi: Perm) -> Perm:
     """
+    The inverse permutation; anything else raises ``ValueError``.
+
     >>> inverse((2, 3, 1))
     (3, 1, 2)
     >>> inverse((2, 1))
     (2, 1)
     """
+    pi = check_permutation(pi)
     out = [0] * len(pi)
     for i, v in enumerate(pi):
         out[v - 1] = i + 1
@@ -114,25 +117,29 @@ def reverse_complement(pi: Perm) -> Perm:
     Conjugate by the decreasing permutation: i -> n+1-pi(n+1-i).
 
     Preserves cycle type, so it restricts to involutions and matchings.
+    A non-permutation raises ``ValueError``.
 
     >>> reverse_complement((1, 3, 2))
     (2, 1, 3)
     >>> reverse_complement((2, 1, 4, 3))
     (2, 1, 4, 3)
     """
+    pi = check_permutation(pi)
     n = len(pi)
     return tuple(n + 1 - pi[n - i] for i in range(1, n + 1))
 
 
 def skew_sum(pi: Perm, sigma: Perm) -> Perm:
     """
-    Juxtapose pi above-left of sigma.
+    Juxtapose pi above-left of sigma.  Both must be permutations;
+    anything else raises ``ValueError``.
 
     >>> skew_sum((1,), (1,))
     (2, 1)
     >>> skew_sum((1, 2), (1, 2))
     (3, 4, 1, 2)
     """
+    pi, sigma = check_permutation(pi), check_permutation(sigma)
     b = len(sigma)
     return tuple(v + b for v in pi) + sigma
 

@@ -24,8 +24,11 @@ violators outside S, smaller sizes have none, and the sweep stops at m.
 Each occurrence of p in a basis element touches each of its units (see
 :func:`invpat.containment.closed_classical_check`), so the basis lies
 below twice the largest pattern size, 16 for both sets: a sweep that
-reaches it with no counterexample proves equality at every size.  The
-totals per size come from the closed counts, not from a scan.
+reaches it with no counterexample proves equality at every size.  Both
+sets are closed under reverse-complement, which keeps cycle type and
+classical containment, so of each mirror pair of candidates only one is
+searched.  The totals per size come from the closed counts, not from a
+scan.
 :func:`_brute_force_row` scans every element of one size instead and
 is the oracle the tests compare the sweep against.
 """

@@ -341,6 +341,9 @@ def test_skew_half_examples():
     assert skew_half((3, 2, 1)) == (1,)
     assert skew_half((2, 1)) == (1,)
     assert from_skew_half((2, 1), odd=False) == (4, 3, 2, 1)
+    assert from_skew_half([2, 1], odd=True) == (5, 4, 3, 2, 1)
+    with pytest.raises(ValueError):
+        from_skew_half((1, 1), odd=False)
     assert from_skew_half((1, 2), odd=True) == (4, 5, 3, 1, 2)
     with pytest.raises(ValueError):
         skew_half((1, 2))  # two fixed points side by side

@@ -125,12 +125,12 @@ def test_verify_mcgovern_progress(capsys):
                            "--progress")
     assert status == 0 and "equal at all sizes <= 6" in out
     lines = err.strip().splitlines()
-    assert [line.split()[:4] for line in lines] == \
-        [[f"part={part}", f"n={n}", f"members={m}", f"classical={c}"]
-         for part, n, m, c in ((1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 4, 4),
-                               (1, 4, 8, 8), (1, 5, 18, 18), (1, 6, 36, 36),
-                               (2, 2, 1, 1), (2, 4, 3, 3), (2, 6, 14, 14))]
-    assert all("elapsed=" in line and "members/s" in line for line in lines)
+    assert [line.split()[:3] for line in lines] == \
+        [[f"part={part}", f"n={n}", f"members={m}"]
+         for part, n, m in ((1, 1, 1), (1, 2, 2), (1, 3, 4), (1, 4, 8), (1, 5, 18),
+                            (1, 6, 36), (2, 2, 1), (2, 4, 3), (2, 6, 14))]
+    assert all(line.split()[3].startswith("elapsed=") and line.endswith(" members/s")
+               for line in lines)
 
 
 @pytest.mark.parametrize("argv", [

@@ -238,27 +238,47 @@ def test_classical_mode_rejects_non_permutations():
 
 def test_closed_classical_check_tries_only_patterns_with_enough_entries(
         involutions_by_size, monkeypatch):
-    # the set cuts to its minimal patterns 12 and 321 (2143, 14325 and
-    # 351624 each contain 12), and the check tries p only where
+    # the first set cuts to its minimal patterns 12 and 321 (2143, 14325
+    # and 351624 each contain 12), and the check tries p only where
     # units(tau) <= |p|, with the units read off the cycles, searching
     # through PatternChecker.contains_any (which bench/tracing.py counts)
-    # or not at all
-    from invpat.core import fixed_points, two_cycles
+    # or not at all.  {12, 321} is closed under reverse-complement, so
+    # of a mirror pair tau != rc(tau) of one size only the first asked is
+    # searched; {132, 321} is not (rc(132) = 213), so every tau is
+    from invpat.core import fixed_points, reverse_complement, two_cycles
 
-    pats = [(1, 2), (3, 2, 1), (2, 1, 4, 3), parse_perm("14325"), parse_perm("351624")]
-    minimal = [(1, 2), (3, 2, 1)]
-    check = containment.closed_classical_check(pats)
+    nested = [(1, 2), (3, 2, 1), (2, 1, 4, 3), parse_perm("14325"), parse_perm("351624")]
     calls = []
     real = PatternChecker.contains_any
     monkeypatch.setattr(PatternChecker, "contains_any",
                         lambda self, tau: calls.append(tau) or real(self, tau))
-    for members in involutions_by_size.values():
-        for tau in members:
-            units = len(fixed_points(tau)) + len(two_cycles(tau))
-            calls.clear()
-            assert check(tau) == any(contains_classical(tau, p)
-                                     for p in minimal if units <= len(p)), tau
-            assert calls == ([tau] if units <= 3 else []), tau
+    for pats, minimal, shared in ((nested, [(1, 2), (3, 2, 1)], True),
+                                  ([(1, 3, 2), (3, 2, 1)], [(1, 3, 2), (3, 2, 1)], False)):
+        check = containment.closed_classical_check(pats)
+        skipped = 0
+        for members in involutions_by_size.values():
+            searched = set()
+            for tau in members:
+                units = len(fixed_points(tau)) + len(two_cycles(tau))
+                mirror = reverse_complement(tau)
+                calls.clear()
+                assert check(tau) == any(contains_classical(tau, p)
+                                         for p in minimal if units <= len(p)), tau
+                search = units <= 3 and not (shared and mirror != tau
+                                             and mirror in searched)
+                assert calls == ([tau] if search else []), tau
+                if search:
+                    searched.add(tau)
+                skipped += units <= 3 and not search
+        assert (skipped > 0) == shared
+
+
+def test_closed_classical_check_shares_only_within_a_closed_set():
+    # 132 contains 132 and its mirror 213 does not: a set that is not
+    # closed under reverse-complement must search both
+    check = containment.closed_classical_check([(1, 3, 2)])
+    assert check((1, 3, 2)) is True
+    assert check((2, 1, 3)) is False
 
 
 # a duplicate, patterns nested in smaller ones (1432 and 21543 contain
@@ -288,11 +308,15 @@ def test_classically_minimal_patterns():
         containment.closed_classical_check([(1, 1)])
 
 
-@pytest.mark.parametrize("pats", [PI_SMOOTH, PI, NESTED], ids=["PI_SMOOTH", "PI", "NESTED"])
+@pytest.mark.parametrize("pats", [PI_SMOOTH, PI, NESTED, [(1, 3, 2), (3, 2, 1)],
+                                  [(1, 2), (1, 3, 2)]],
+                         ids=["PI_SMOOTH", "PI", "NESTED", "132-321", "12-132"])
 def test_closed_classical_check_matches_full_set_on_closed_candidates(pats):
     # on every involution to 9 and matching to 10 whose one-step images
     # all avoid the set classically, the check over the minimal patterns
-    # answers as PatternChecker does over the whole set
+    # answers as PatternChecker does over the whole set.  The first three
+    # sets are closed under reverse-complement, {132, 321} is not, and
+    # {12, 132} is only once cut to {12}
     full = PatternChecker(pats, Mode.CLASSICAL).contains_any
     check = containment.closed_classical_check(pats)
     pools = [(Mode.IPRIME, t) for n in range(10) for t in generate_involutions(n)]

@@ -62,6 +62,23 @@ def test_skew_sum_examples():
     assert skew_sum((1, 2), (1, 2)) == (3, 4, 1, 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: inverse((1, 1)),
+    lambda: inverse((5, 5)),
+    lambda: inverse((0, 1)),
+    lambda: reverse_complement((5, 5)),
+    lambda: reverse_complement((1, 2.0)),
+    lambda: skew_sum((1, 1), (2,)),
+    lambda: skew_sum((1,), (2,)),
+], ids=["inverse-repeat", "inverse-range", "inverse-zero", "rc-range", "rc-float",
+        "skew-left", "skew-right"])
+def test_exported_helpers_reject_non_permutations(call):
+    # they returned (2, 0), raised IndexError, returned (-2, -2) and
+    # (2, 2, 2) on these before they validated their input
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_cycles_examples():
     assert cycles((4, 2, 6, 1, 5, 3)) == {(1, 4), (2, 2), (3, 6), (5, 5)}
     assert cycles((1, 2, 3)) == {(1, 1), (2, 2), (3, 3)}
