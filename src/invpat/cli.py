@@ -63,14 +63,14 @@ def cmd_count(args) -> int:
     ambient = Mode.F if mode is Mode.F else Mode.I
     table = count_table(ps, ambient, args.to, args.refine_fixed_points)
     if args.formula:
-        if not pats and mode is not Mode.F:
+        if not ps.patterns and mode is not Mode.F:
             closed = involution_count
             name = "involution numbers"
-        elif not pats:
+        elif not ps.patterns:
             closed = matching_count
             name = "double factorials"
         else:
-            key = (tuple(pats[0]), mode) if len(pats) == 1 else None
+            key = (*ps.patterns, mode) if len(ps.patterns) == 1 else None
             if key not in FORMULAS:
                 print(f"no closed form on file for {ps}", file=sys.stderr)
                 return 2

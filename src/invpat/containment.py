@@ -20,8 +20,17 @@ and :func:`contains` looks for rho in the closure pruned below
 instead: choose 2-cycles of the haystack to keep, fixed points to keep,
 and (in ``I`` mode) 2-cycles to squash into fixed points, subject to no
 other chosen element sitting strictly inside a squashed cycle's
-interval.  The two agree on every pair with haystack size <= 8 in every
-mode; the test suite enforces this exhaustively.
+interval.  It places the pattern's positions in order at increasing
+positions of the haystack, one scan left to right per branch: an opener
+takes the left end of a 2-cycle and leaves its right end pending, a
+closer takes the first pending end, and a fixed point takes a fixed
+point or, in ``I``, a whole 2-cycle.  The pending ends are kept in the
+order of their closers and must increase along it, so the first one
+caps the scan.  As positions only grow, no unit is chosen twice and
+nothing lands inside a squashed interval, without any flags.  The two
+tests agree on every pair with haystack size <= 8 in every mode, which
+the test suite checks exhaustively, and on seeded random pairs with
+haystacks of size 10 to 16.
 
 Classical containment compiles each pattern once into the value window
 of each step (:func:`_compile_classical`) and places it depth-first;
@@ -39,10 +48,10 @@ candidate's own search.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from operator import eq
 
-from .core import (Perm, check_fpf, check_involution, fixed_points,
-                   reverse_complement, standardize, two_cycles)
+from .core import (Perm, check_fpf, check_involution, check_permutation,
+                   reverse_complement, standardize)
 
 
 class Mode(enum.Enum):
@@ -65,8 +74,6 @@ class Mode(enum.Enum):
 def check_for_mode(pi: Perm, mode: Mode) -> Perm:
     """Validate an element against a mode's ambient family."""
     if mode is Mode.CLASSICAL:
-        from .core import check_permutation
-
         return check_permutation(pi)
     if mode is Mode.F:
         return check_fpf(pi)
@@ -221,121 +228,84 @@ def contains(tau: Perm, rho: Perm, mode: Mode) -> bool:
 # embedding search
 
 
-def _compile_pattern(rho: Perm, mode: Mode):
-    """Roles of the pattern's positions, openers carrying their closer's position."""
-    rho = check_for_mode(rho, mode)
-    roles = []
-    for i, v in enumerate(rho):
-        p = i + 1
-        if v == p:
-            roles.append((0, 0))            # fixed point
-        elif v > p:
-            roles.append((1, v))            # opener, closes at position v
+def _compile_pattern(rho: Perm):
+    """
+    The size, fixed points, 2-cycles and roles of a valid pattern: 0 for
+    a fixed point, -1 for a closer, and 1 + s for an opener whose closer
+    comes after s closers of cycles still open there.
+    """
+    roles, closers = [], []             # closers: where the open 2-cycles close, ascending
+    for k, v in enumerate(rho, 1):
+        if v > k:
+            s = 0
+            while s < len(closers) and closers[s] < v:
+                s += 1
+            closers.insert(s, v)
+            roles.append(1 + s)
+        elif v < k:
+            del closers[0]
+            roles.append(-1)
         else:
-            roles.append((2, 0))            # closer
-    return tuple(roles)
+            roles.append(0)
+    fixed = roles.count(0)
+    return len(rho), fixed, (len(rho) - fixed) // 2, tuple(roles)
 
 
-def _embed(tcyc, tfix, roles, allow_fix, allow_collapse) -> bool:
+def _embed(tau: Perm, compiled, mode: Mode) -> bool:
     """
-    Match the pattern roles against haystack units left to right.
+    Place the pattern's positions, in order, at increasing positions of
+    the valid haystack tau; ``compiled`` comes from :func:`_compile_pattern`.
 
-    Chosen units occupy pairwise disjoint intervals: a kept fixed point
-    or either endpoint of a kept 2-cycle is a single coordinate, a
-    squashed 2-cycle occupies its whole closed interval.  Reading the
-    units in interval order must reproduce the pattern.
+    After a check of the unit counts, a depth-first search scans tau
+    left to right.  An opener takes the left end q of a 2-cycle (q, v) and
+    leaves v pending; a closer takes the first pending end; a fixed point
+    takes a fixed point of tau or, in ``I`` only, a whole 2-cycle (q, v)
+    below the cap, and the scan resumes after v.
+
+    The pending ends are a tuple ordered by their closers in the pattern,
+    and an opener must keep them increasing along it, so kept 2-cycles
+    nest and cross in tau as in the pattern.  The first pending end is
+    then the smallest and caps every position placed before its closer.
+    Each placement lies beyond the last one and below the cap, so no unit
+    is chosen twice and nothing lands inside a squashed interval, with no
+    flags to keep or undo.
     """
-    m = len(roles)
-    ncyc = len(tcyc)
-    openers = [c[0] for c in tcyc]
-
-    need_cyc = sum(1 for r in roles if r[0] == 1)
-    need_fix = sum(1 for r in roles if r[0] == 0)
-    budget = (ncyc - need_cyc if allow_collapse else 0) + (len(tfix) if allow_fix else 0)
-    if need_cyc > ncyc or need_fix > budget:
+    m, need_fix, need_cyc, roles = compiled
+    n = len(tau)
+    cyc = (n - sum(map(eq, tau, range(1, n + 1)))) // 2
+    collapse = mode is Mode.I
+    if need_cyc > cyc or need_fix > n - 2 * cyc + (cyc - need_cyc if collapse else 0):
         return False
 
-    used = [False] * ncyc
-    # pending: (pattern position where the cycle closes, committed closer
-    # value); kept sorted by close position, and closer values increase
-    # along it, so pending[0][1] caps every unit placed before it
-    pending: list[tuple[int, int]] = []
-
-    def walk(pos: int, last: int) -> bool:
-        if pos == m:
+    def walk(k: int, last: int, pending: tuple[int, ...]) -> bool:
+        if k == m:
             return True
-        kind, close_at = roles[pos]
-        cap = pending[0][1] if pending else None
-
-        if kind == 2:
-            # pending[0] is this closer's cycle: pending is sorted by close
-            # position, and every close position at or below pos was popped
-            # on the way here.  And b > last: every unit placed after the
-            # opener was kept below the cap pending[0][1], which is at most b.
-            j, b = pending[0]
-            del pending[0]
-            if walk(pos + 1, b):
-                return True
-            pending.insert(0, (j, b))
+        role = roles[k]
+        if role < 0:
+            return walk(k + 1, pending[0], pending[1:])
+        cap = pending[0] if pending else n + 1
+        if role == 0:
+            for q, v in enumerate(tau[last:cap - 1], last + 1):
+                if (v == q or (collapse and q < v < cap)) and walk(k + 1, v, pending):
+                    return True
             return False
-
-        if kind == 0:
-            if allow_fix:
-                lo = bisect_right(tfix, last)
-                for idx in range(lo, len(tfix)):
-                    f = tfix[idx]
-                    if cap is not None and f > cap:
-                        break
-                    if walk(pos + 1, f):
-                        return True
-            if allow_collapse:
-                start = bisect_right(openers, last)
-                for ci in range(start, ncyc):
-                    a, b = tcyc[ci]
-                    if cap is not None and a > cap:
-                        break
-                    if used[ci] or (cap is not None and b > cap):
-                        continue
-                    used[ci] = True
-                    if walk(pos + 1, b):
-                        return True
-                    used[ci] = False
-            return False
-
-        # opener: commit a haystack cycle whose closer slots in at
-        # pattern position close_at
-        start = bisect_right(openers, last)
-        for ci in range(start, ncyc):
-            a, b = tcyc[ci]
-            if cap is not None and a > cap:
-                break
-            if used[ci]:
-                continue
-            spot = 0
-            ok = True
-            while spot < len(pending) and pending[spot][0] < close_at:
-                if pending[spot][1] > b:
-                    ok = False
-                    break
-                spot += 1
-            if ok and spot < len(pending) and pending[spot][1] < b:
-                ok = False
-            if not ok:
-                continue
-            used[ci] = True
-            pending.insert(spot, (close_at, b))
-            if walk(pos + 1, a):
+        s = role - 1
+        lo = pending[s - 1] if s else 0
+        hi = pending[s] if s < len(pending) else n + 1
+        for q, v in enumerate(tau[last:cap - 1], last + 1):
+            if q < v and lo < v < hi and walk(k + 1, q, pending[:s] + (v,) + pending[s:]):
                 return True
-            del pending[spot]
-            used[ci] = False
         return False
 
-    return walk(0, 0)
+    return walk(0, 0, ())
 
 
 def contains_fast(tau: Perm, rho: Perm, mode: Mode) -> bool:
     """
     Embedding-search containment test; agrees with :func:`contains`.
+
+    Outside ``CLASSICAL`` it runs :func:`_embed`, one left-to-right scan
+    of tau's positions per branch of a depth-first search.
 
     >>> contains_fast((2, 1, 4, 3), (1, 3, 2), Mode.I)
     True
@@ -343,14 +313,10 @@ def contains_fast(tau: Perm, rho: Perm, mode: Mode) -> bool:
     False
     """
     tau = check_for_mode(tau, mode)
+    rho = check_for_mode(rho, mode)
     if mode is Mode.CLASSICAL:
-        return _search_classical(tau, _compile_classical(check_for_mode(rho, mode)))
-    roles = _compile_pattern(rho, mode)
-    if len(rho) > len(tau):
-        return False
-    return _embed(two_cycles(tau), fixed_points(tau), roles,
-                  allow_fix=mode is not Mode.F,
-                  allow_collapse=mode is Mode.I)
+        return _search_classical(tau, _compile_classical(rho))
+    return _embed(tau, _compile_pattern(rho), mode)
 
 
 class PatternChecker:
@@ -365,23 +331,13 @@ class PatternChecker:
         self.mode = mode
         self.patterns = tuple(sorted((check_for_mode(p, mode) for p in patterns),
                                      key=lambda p: (len(p), p)))
-        if mode is Mode.CLASSICAL:
-            self._compiled = [_compile_classical(p) for p in self.patterns]
-        else:
-            self._compiled = [(_compile_pattern(p, mode), len(p)) for p in self.patterns]
+        compile_ = _compile_classical if mode is Mode.CLASSICAL else _compile_pattern
+        self._compiled = [compile_(p) for p in self.patterns]
 
     def contains_any(self, tau: Perm) -> bool:
         if self.mode is Mode.CLASSICAL:
             return any(_search_classical(tau, steps) for steps in self._compiled)
-        tcyc = two_cycles(tau)
-        tfix = fixed_points(tau)
-        allow_fix = self.mode is not Mode.F
-        allow_collapse = self.mode is Mode.I
-        n = len(tau)
-        for roles, size in self._compiled:
-            if size <= n and _embed(tcyc, tfix, roles, allow_fix, allow_collapse):
-                return True
-        return False
+        return any(_embed(tau, compiled, self.mode) for compiled in self._compiled)
 
 
 def avoids_all(tau: Perm, patterns, mode: Mode) -> bool:

@@ -81,7 +81,12 @@ def inverse(pi: Perm) -> Perm:
 
 
 def is_involution(pi: Perm) -> bool:
-    return all(pi[v - 1] == i + 1 for i, v in enumerate(pi))
+    """True if pi is an involution of 1..n; any other sequence gives False."""
+    try:
+        check_involution(pi)
+    except ValueError:
+        return False
+    return True
 
 
 def check_involution(pi: Sequence[int]) -> Perm:
@@ -101,8 +106,11 @@ def check_involution(pi: Sequence[int]) -> Perm:
 
 def is_fpf(pi: Perm) -> bool:
     """True if pi is a fixed-point-free involution (a perfect matching)."""
-    return len(pi) % 2 == 0 and is_involution(pi) and all(
-        v != i + 1 for i, v in enumerate(pi))
+    try:
+        check_fpf(pi)
+    except ValueError:
+        return False
+    return True
 
 
 def check_fpf(pi: Sequence[int]) -> Perm:

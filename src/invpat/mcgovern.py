@@ -38,9 +38,8 @@ import time
 from dataclasses import dataclass, field
 
 from .classes import PatternSet, avoider_levels
-from .containment import Mode, PatternChecker
-from .core import (Perm, check_fpf, check_involution, generate_fpf,
-                   generate_involutions, odd_fix_gap, parse_perm)
+from .containment import Mode, PatternChecker, avoids_all
+from .core import Perm, generate_fpf, generate_involutions, odd_fix_gap, parse_perm
 from .enumeration import involution_count, matching_count
 
 # rationally smooth symplectic orbits: matchings avoiding these
@@ -64,21 +63,17 @@ PI_SMOOTH: tuple[Perm, ...] = PI + SMOOTH_EXTRA
 
 def rational_smoothness_fpf(rho: Perm) -> bool:
     """Avoidance criterion for rational smoothness of a matching's orbit."""
-    rho = check_fpf(rho)
-    return not PatternChecker(PI_PRIME, Mode.F).contains_any(rho)
+    return avoids_all(rho, PI_PRIME, Mode.F)
 
 
 def rational_smoothness_involution(tau: Perm) -> bool:
     """Avoidance + odd-gap criterion for rational smoothness of an involution's orbit."""
-    tau = check_involution(tau)
-    return (odd_fix_gap(tau)
-            and not PatternChecker(PI, Mode.IPRIME).contains_any(tau))
+    return odd_fix_gap(tau) and avoids_all(tau, PI, Mode.IPRIME)
 
 
 def smoothness_involution(tau: Perm) -> bool:
     """Avoidance criterion for smoothness of an involution's orbit."""
-    tau = check_involution(tau)
-    return not PatternChecker(PI_SMOOTH, Mode.IPRIME).contains_any(tau)
+    return avoids_all(tau, PI_SMOOTH, Mode.IPRIME)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from invpat.bijections import (AndrePath, LabeledDyck, LaguerreHistory,
                                perm_to_history, remove_fixed_points,
                                skew_half, strip_level_steps)
 from invpat.classes import PatternSet, class_members
-from invpat.containment import Mode, _compile_pattern, _embed, contains
+from invpat.containment import Mode, contains, contains_fast
 from invpat.core import (check_involution, fixed_points, generate_involutions,
                          two_cycles)
 from invpat.enumeration import formula_pattern132
@@ -171,13 +171,10 @@ def oracle_history_to_dyck(lh):
     return check_labeled_dyck(LabeledDyck(word, downs))
 
 
-_ORACLE_132 = _compile_pattern((1, 3, 2), Mode.I)
-
-
 def oracle_involution_to_andre(tau):
     tau = check_involution(tau)
     cyc = two_cycles(tau)
-    if _embed(cyc, fixed_points(tau), _ORACLE_132, allow_fix=True, allow_collapse=True):
+    if contains_fast(tau, (1, 3, 2), Mode.I):
         raise ValueError("involution contains 132 in the deletion order")
     k = len(cyc)
     comp = [0] * (k + 1)

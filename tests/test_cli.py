@@ -19,6 +19,18 @@ def test_count_formula_column(capsys):
     assert all(line.endswith("yes") for line in lines[1:])
 
 
+def test_count_formula_with_a_repeated_pattern(capsys):
+    # the formula is looked up by the set, so a repeat still finds it
+    status, out, err = run(capsys, "count", "--patterns", "321 321", "--mode", "I",
+                           "--to", "5", "--formula")
+    assert status == 0, err
+    assert out == run(capsys, "count", "--patterns", "321", "--mode", "I",
+                      "--to", "5", "--formula")[1]
+    status, _, err = run(capsys, "count", "--patterns", "321 132", "--mode", "I",
+                         "--to", "5", "--formula")
+    assert status == 2 and "no closed form" in err
+
+
 def test_count_empty_patterns(capsys):
     status, out, _ = run(capsys, "count", "--patterns", "", "--mode", "I",
                          "--to", "6")

@@ -7,7 +7,8 @@ import invpat.containment as containment
 from invpat.containment import (Mode, PatternChecker, avoids_all, contains,
                                 contains_classical, contains_fast,
                                 delete_positions, down_set, one_step_down)
-from invpat.core import generate_fpf, generate_involutions, parse_perm, standardize
+from invpat.core import (cycles_from_pairs, generate_fpf, generate_involutions,
+                         parse_perm, standardize)
 from invpat.mcgovern import PI, PI_PRIME, PI_SMOOTH
 
 
@@ -207,6 +208,40 @@ def test_embedding_matches_reference_spot_checks_size_9():
         for rho in rng.sample(pats, 12):
             for mode in (Mode.I, Mode.IPRIME):
                 assert contains_fast(tau, rho, mode) == contains(tau, rho, mode)
+
+
+def _random_involution(rng, n, fpf):
+    """A seeded random involution of size n, a matching if fpf: shuffled
+    points are paired off until a coin says stop or two are not left."""
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    pairs = []
+    while len(points) >= 2 and (fpf or rng.random() < 0.6):
+        pairs.append(sorted((points.pop(), points.pop())))
+    return cycles_from_pairs(n, pairs)
+
+
+def test_embedding_matches_reference_on_random_haystacks_of_size_10_to_16(
+        involutions_by_size, matchings_by_size):
+    # seeded random pairs above the exhaustive range, single patterns and
+    # multi-pattern checkers, in every order
+    import random
+
+    rng = random.Random(1402)
+    for mode, pools in ((Mode.I, involutions_by_size), (Mode.IPRIME, involutions_by_size),
+                        (Mode.F, matchings_by_size)):
+        sizes = [m for m in pools if 2 <= m <= 8]
+        answers, any_answers = set(), set()
+        for _ in range(150):
+            n = rng.randrange(10, 17)
+            tau = _random_involution(rng, n - n % 2 if mode is Mode.F else n, mode is Mode.F)
+            pats = [rng.choice(pools[rng.choice(sizes)]) for _ in range(4)]
+            ref = [contains(tau, rho, mode) for rho in pats]
+            assert [contains_fast(tau, rho, mode) for rho in pats] == ref, (tau, mode)
+            assert PatternChecker(pats, mode).contains_any(tau) == any(ref), (tau, mode)
+            answers.update(ref)
+            any_answers.add(any(ref))
+        assert answers == any_answers == {True, False}, mode
 
 
 def test_avoids_all():

@@ -79,6 +79,17 @@ def test_exported_helpers_reject_non_permutations(call):
         call()
 
 
+def test_predicates_answer_false_on_non_permutations():
+    # is_involution raised IndexError on the first three and TypeError on
+    # the last before the predicates used the validators
+    for word in [(3, 1), (5, 5), (2,), (0,), (1, 1), (2, 3, 1), (1.0,)]:
+        assert not core.is_involution(word), word
+        assert not core.is_fpf(word), word
+    assert core.is_involution(()) and core.is_involution((2, 1, 3))
+    assert core.is_fpf(()) and core.is_fpf((2, 1, 4, 3))
+    assert not core.is_fpf((2, 1, 3)) and not core.is_fpf((1,))
+
+
 def test_cycles_examples():
     assert cycles((4, 2, 6, 1, 5, 3)) == {(1, 4), (2, 2), (3, 6), (5, 5)}
     assert cycles((1, 2, 3)) == {(1, 1), (2, 2), (3, 3)}

@@ -37,6 +37,12 @@ def test_smoothness_predicates():
     assert not smoothness_involution((1, 3, 2, 4))
     assert not smoothness_involution(parse_perm("14325"))
     assert smoothness_involution((2, 1))
+    # each validates its argument for its family
+    for call, bad in ((rational_smoothness_fpf, (1, 2)), (rational_smoothness_fpf, (2, 3, 1)),
+                      (rational_smoothness_involution, (2, 3, 1)),
+                      (smoothness_involution, (5, 5))):
+        with pytest.raises(ValueError):
+            call(bad)
 
 
 def test_verify_part1_small():
