@@ -43,21 +43,19 @@ list of the insertion history is kept as a Python list, whose C-level
 index and splice are the only steps that grow with the number of open
 slots.  ``involution_to_andre`` rules out 132 by checking that the
 openers come first, in the same pass that reads the composition and the
-closers.  ``history_to_perm``, ``dyck_to_history``, ``history_to_dyck``
-and ``insert_level_steps`` validate their input (and, but for the
-first, their output) around a private core; the composites call the
-cores where the previous step has just validated the same object, and
-so skip three re-checks per round trip: the labeled Dyck path entering
-``insert_level_steps`` and ``dyck_to_history``, and the history
-entering ``history_to_perm``.
+closers.  Each map validates what it is given, once, and nothing it
+returns: what it builds from valid input is valid by construction.  The
+composites call the public maps, so each object the chain builds is
+checked once, as the input of the map that reads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (Perm, check_involution, check_permutation, fixed_points,
-                   inverse, lr_minima, skew_sum, standardize, two_cycles)
+from .core import (Perm, check_fpf, check_involution, check_permutation,
+                   fixed_points, inverse, lr_minima, skew_sum, standardize,
+                   two_cycles)
 
 # ---------------------------------------------------------------------------
 # path types
@@ -413,10 +411,7 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     >>> history_to_perm(LaguerreHistory(('L1',), (1,)))
     (2, 1)
     """
-    return _history_to_perm(check_history(lh))
-
-
-def _history_to_perm(lh: LaguerreHistory) -> Perm:
+    lh = check_history(lh)
     n = len(lh.steps)
     kids = [0] * (2 * n + 4)
     # open slots in in-order; a valid history keeps h + 1 of them at
@@ -463,11 +458,7 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     >>> str(dyck_to_history(LabeledDyck("UUDUUDDDUD", (1, 2, 1, 1, 1))))
     "L',U,D,L'' (1,1,2,1)"
     """
-    return check_history(_dyck_to_history(check_labeled_dyck(ldp)))
-
-
-def _dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
-    word = ldp.word
+    word = check_labeled_dyck(ldp).word
     if not word:
         raise ValueError("need half-length at least 1")
     downs = iter(ldp.down_labels)
@@ -492,6 +483,9 @@ def _dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     return LaguerreHistory(tuple(steps), tuple(labels))
 
 
+_PAIR = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
+
+
 def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     """
     Inverse of :func:`dyck_to_history`.
@@ -499,13 +493,7 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     >>> history_to_dyck(LaguerreHistory((), ())).word
     'UD'
     """
-    return check_labeled_dyck(_history_to_dyck(check_history(lh)))
-
-
-_PAIR = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
-
-
-def _history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
+    lh = check_history(lh)
     downs: list[int] = []
     # labels of the U steps not yet closed; a valid history never closes
     # more than it opened
@@ -548,7 +536,7 @@ def strip_level_steps(ap: AndrePath) -> tuple[tuple[int, ...], LabeledDyck]:
             comp[seen // 2] += 1
         else:
             seen += 1
-    return tuple(comp), check_labeled_dyck(LabeledDyck(dyck, ap.down_labels))
+    return tuple(comp), LabeledDyck(dyck, ap.down_labels)
 
 
 def insert_level_steps(comp: tuple[int, ...], ldp: LabeledDyck) -> AndrePath:
@@ -559,11 +547,7 @@ def insert_level_steps(comp: tuple[int, ...], ldp: LabeledDyck) -> AndrePath:
     >>> insert_level_steps((0, 2), LabeledDyck("UD", (1,))).word
     'UDLL'
     """
-    return check_andre(_insert_level_steps(comp, check_labeled_dyck(ldp)))
-
-
-def _insert_level_steps(comp: tuple[int, ...], ldp: LabeledDyck) -> AndrePath:
-    k = ldp.half_length
+    k = check_labeled_dyck(ldp).half_length
     if len(comp) != k + 1 or not all(isinstance(y, int) and y >= 0 for y in comp):
         raise ValueError(f"composition must have {k + 1} nonnegative int parts")
     out = ["L" * comp[0]]
@@ -598,8 +582,6 @@ def insert_fixed_points(rho: Perm, positions: tuple[int, ...]) -> Perm:
     >>> insert_fixed_points((2, 1, 4, 3), (3,))
     (2, 1, 3, 5, 4)
     """
-    from .core import check_fpf
-
     rho = check_fpf(rho)
     n = len(rho) + len(positions)
     spots = set(positions)
@@ -612,7 +594,7 @@ def insert_fixed_points(rho: Perm, positions: tuple[int, ...]) -> Perm:
         out[p - 1] = p
     for i, v in enumerate(rho):
         out[rest[i] - 1] = rest[v - 1]
-    return check_involution(tuple(out))
+    return tuple(out)
 
 
 def involution_to_andre(tau: Perm) -> AndrePath:
@@ -654,8 +636,7 @@ def involution_to_andre(tau: Perm) -> AndrePath:
         else:
             sigma.append(v)
     ldp = history_to_dyck(perm_to_history(tuple(sigma))) if k else LabeledDyck("", ())
-    # history_to_dyck has just validated ldp
-    return check_andre(_insert_level_steps(tuple(comp), ldp))
+    return insert_level_steps(tuple(comp), ldp)
 
 
 def andre_to_involution(ap: AndrePath) -> Perm:
@@ -667,12 +648,9 @@ def andre_to_involution(ap: AndrePath) -> Perm:
     """
     comp, ldp = strip_level_steps(ap)
     k = ldp.half_length
-    # strip_level_steps has just validated ldp, and check_history
-    # validates the history that _history_to_perm reads
-    sigma = _history_to_perm(check_history(_dyck_to_history(ldp))) if k else ()
     # the matching's lower-right block: the opener of the j-th closer
     # is sigma[j]
-    sigma = check_permutation(sigma)
+    sigma = history_to_perm(dyck_to_history(ldp)) if k else ()
     # closers sit after the k openers, y_0 fixed points, closer, y_1
     # fixed points, closer, ...; every other position is a fixed point
     out = list(range(1, len(ap.word) + 1))
@@ -682,4 +660,4 @@ def andre_to_involution(ap: AndrePath) -> Perm:
         opener = sigma[j]
         out[pos - 1] = opener
         out[opener - 1] = pos
-    return check_involution(tuple(out))
+    return tuple(out)

@@ -97,8 +97,8 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     size above the floor is checked, every level below ``max_size`` holds
     two integer arrays: the size-m member grown from (parent id, slot) at
     index parent id * m + slot (-1 where none grew), and per member a flat
-    run of its images' ids, in the order
-    :func:`invpat.containment._iter_images` yields them.  Every member
+    run of its images' ids, ordered by the last position of the deleted
+    unit, so U's images come last.  Every member
     gets its run from its own check, which always passes up to the floor;
     when no size above the floor is checked, no table is held and nothing
     is checked.  The candidate tuple is built only for closed candidates.
@@ -141,19 +141,19 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     check = floor < max_size
     past = max_size + 1             # stands for "no second deleted position"
 
-    def units(sigma: Perm) -> list[tuple[int, int, int, int, int]]:
-        """Sigma's one-step images in ``_iter_images`` order, each as (first
-        position of its unit, deleted positions lo and hi, the slot that
-        loses it or 0, size drop)."""
+    def units(sigma: Perm) -> list[tuple[int, int, int, int]]:
+        """Sigma's one-step images by the last position of their unit, each
+        as (deleted positions lo and hi, the slot that loses it or 0, size
+        drop)."""
         out = []
         for i, v in enumerate(sigma, 1):
             if v == i:
                 if fix_ok:
-                    out.append((i, i, past, 0, 1))
-            elif v > i:
-                out.append((i, i, v, 0, 2))
-                if collapse_ok and v == i + 1:
-                    out.append((i, v, past, v, 1))
+                    out.append((i, past, 0, 1))
+            elif v < i:
+                out.append((v, i, 0, 2))
+                if collapse_ok and v == i - 1:
+                    out.append((i, past, i, 1))
         return out
 
     def grow(n: int, last, older, below, table):
@@ -181,7 +181,7 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
                 ents = units(sigma)
                 ids = []
                 i = 0                   # -1 once an image is not a member
-                for (_, _, _, _, d), g in zip(ents, last_runs[off:off + len(ents)]):
+                for (_, _, _, d), g in zip(ents, last_runs[off:off + len(ents)]):
                     i = kids_at[d][g * (n - d)]
                     if i < 0:
                         break
@@ -207,7 +207,7 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
             if check:
                 ents = units(sigma)
                 refs = [(lo, hi, cut, kids_at[d], g * (n - d))
-                        for (_, lo, hi, cut, d), g in
+                        for (lo, hi, cut, d), g in
                         zip(ents, older_runs[off:off + len(ents)])]
                 off += len(ents)
                 # the collapse image of U = (n-1, n) is sigma + (n-1,)
@@ -238,9 +238,10 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
                     continue
                 if kids is not None:
                     kids[j * n + s] = found
-                    # U's images go after the units that start below s
-                    at = sum(1 for e in ents if e[0] < s and e[3] != s)
-                    ids[at:at] = [j, tail] if collapse_ok and s == n - 1 else [j]
+                    # U ends at n, so its images come last
+                    ids.append(j)
+                    if collapse_ok and s == n - 1:
+                        ids.append(tail)
                     runs.extend(ids)
                 found += 1
                 yield tau

@@ -4,7 +4,7 @@ Batch command-line surface.
 Subcommands:
 
 - ``count``: avoider counts by size, optionally against the closed form
-  and refined by fixed points.
+  or refined by fixed points (the closed forms are totals, so not both).
 - ``basis``: minimal violators of classical patterns in a deletion order.
 - ``verify-mcgovern``: the equality sweeps; ``--to 16`` proves both
   equalities for every size.
@@ -57,6 +57,10 @@ def cmd_count(args) -> int:
     if mode is Mode.F and args.to < 2:
         print(f"--mode F counts matchings, which have even sizes: --to must be "
               f"at least 2, got {args.to}", file=sys.stderr)
+        return 2
+    if args.formula and args.refine_fixed_points:
+        print("--formula compares totals: it cannot be combined with "
+              "--refine-fixed-points", file=sys.stderr)
         return 2
     pats = _read_patterns(args)
     ps = PatternSet(pats, mode)
@@ -124,8 +128,7 @@ def cmd_verify_mcgovern(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    from .bijections import (AndrePath, andre_to_involution, check_andre,
-                             involution_to_andre)
+    from .bijections import AndrePath, andre_to_involution, involution_to_andre
 
     if args.omega:
         tau = parse_perm(args.omega)
@@ -138,8 +141,8 @@ def cmd_bijection(args) -> int:
         return 0
     word = args.omega_inv
     labels = tuple(int(x) for x in args.labels.split(",") if x) if args.labels else ()
+    ap = AndrePath(word, labels)
     try:
-        ap = check_andre(AndrePath(word, labels))
         tau = andre_to_involution(ap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

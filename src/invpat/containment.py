@@ -251,10 +251,18 @@ def _compile_pattern(rho: Perm):
     return len(rho), fixed, (len(rho) - fixed) // 2, tuple(roles)
 
 
-def _embed(tau: Perm, compiled, mode: Mode) -> bool:
+def _cycle_count(tau: Perm) -> int:
+    """The number of 2-cycles of the valid haystack tau."""
+    n = len(tau)
+    return (n - sum(map(eq, tau, range(1, n + 1)))) // 2
+
+
+def _embed(tau: Perm, cyc: int, compiled, mode: Mode) -> bool:
     """
     Place the pattern's positions, in order, at increasing positions of
-    the valid haystack tau; ``compiled`` comes from :func:`_compile_pattern`.
+    the valid haystack tau, which has ``cyc`` 2-cycles (counted once per
+    haystack by :func:`_cycle_count`); ``compiled`` comes from
+    :func:`_compile_pattern`.
 
     After a check of the unit counts, a depth-first search scans tau
     left to right.  An opener takes the left end q of a 2-cycle (q, v) and
@@ -272,7 +280,6 @@ def _embed(tau: Perm, compiled, mode: Mode) -> bool:
     """
     m, need_fix, need_cyc, roles = compiled
     n = len(tau)
-    cyc = (n - sum(map(eq, tau, range(1, n + 1)))) // 2
     collapse = mode is Mode.I
     if need_cyc > cyc or need_fix > n - 2 * cyc + (cyc - need_cyc if collapse else 0):
         return False
@@ -316,7 +323,7 @@ def contains_fast(tau: Perm, rho: Perm, mode: Mode) -> bool:
     rho = check_for_mode(rho, mode)
     if mode is Mode.CLASSICAL:
         return _search_classical(tau, _compile_classical(rho))
-    return _embed(tau, _compile_pattern(rho), mode)
+    return _embed(tau, _cycle_count(tau), _compile_pattern(rho), mode)
 
 
 class PatternChecker:
@@ -337,7 +344,8 @@ class PatternChecker:
     def contains_any(self, tau: Perm) -> bool:
         if self.mode is Mode.CLASSICAL:
             return any(_search_classical(tau, steps) for steps in self._compiled)
-        return any(_embed(tau, compiled, self.mode) for compiled in self._compiled)
+        cyc = _cycle_count(tau)
+        return any(_embed(tau, cyc, compiled, self.mode) for compiled in self._compiled)
 
 
 def avoids_all(tau: Perm, patterns, mode: Mode) -> bool:

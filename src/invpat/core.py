@@ -176,8 +176,12 @@ def fixed_points(tau: Perm) -> list[int]:
 
 def cycles_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Perm:
     """Involution of size n with the given cycle pairs (fixed points may be omitted)."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     out = list(range(1, n + 1))
     for a, b in pairs:
+        if not all(isinstance(x, int) and 1 <= x <= n for x in (a, b)):
+            raise ValueError(f"cycle pair {(a, b)!r} out of range 1..{n}")
         out[a - 1], out[b - 1] = b, a
     return check_involution(out)
 
@@ -190,6 +194,8 @@ def generate_permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic one-line order."""
     from itertools import permutations
 
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     return iter(permutations(range(1, n + 1)))
 
 
@@ -211,9 +217,8 @@ def generate_fpf(n: int) -> Iterator[Perm]:
     >>> list(generate_fpf(4))
     [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     """
-    if n % 2:
-        return
-    yield from _involutions(n, fpf=True)
+    if n % 2 == 0 or n < 0:         # _involutions rejects a negative size
+        yield from _involutions(n, fpf=True)
 
 
 def _involutions(n: int, fpf: bool) -> Iterator[Perm]:

@@ -113,11 +113,14 @@ class CountTable:
                                       for (n, m), c in sorted(self.refined.items())]
 
     def to_text(self) -> str:
-        lines = [f"avoiders of {self.patterns} in {self.ambient.value} ambient"]
-        width = max((len(str(c)) for c in self.counts.values()), default=1)
-        for n in sorted(self.counts):
-            lines.append(f"  n={n:<3d} {self.counts[n]:>{width}d}")
-        return "\n".join(lines)
+        if self.refined is None:
+            rows = [(f"n={n:<3d}", c) for n, c in sorted(self.counts.items())]
+        else:
+            rows = [(f"n={n:<3d} fixed={m:<3d}", c)
+                    for (n, m), c in sorted(self.refined.items())]
+        width = max((len(str(c)) for _, c in rows), default=1)
+        return "\n".join([f"avoiders of {self.patterns} in {self.ambient.value} ambient"]
+                         + [f"  {key} {c:>{width}d}" for key, c in rows])
 
 
 def _tally(members, refine_by_fixed_points: bool):
@@ -206,6 +209,8 @@ def count_table(ps: PatternSet, ambient: Mode, n_max: int,
 
 def involution_count(n: int) -> int:
     """Number of involutions of size n: a(n) = a(n-1) + (n-1) a(n-2)."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     a, b = 1, 1
     for k in range(2, n + 1):
         a, b = b, b + (k - 1) * a
@@ -214,6 +219,8 @@ def involution_count(n: int) -> int:
 
 def matching_count(n: int) -> int:
     """(n-1)!! matchings of size n for even n, else 0."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     if n % 2:
         return 0
     out = 1

@@ -264,7 +264,7 @@ def test_composites_match_oracle_chain():
     for n in range(0, 13):
         for ap in iter_andre_paths(n):
             tau = andre_to_involution(ap)
-            assert tau == oracle_andre_to_involution(ap)
+            assert check_involution(tau) == tau == oracle_andre_to_involution(ap)
             assert involution_to_andre(tau) == oracle_involution_to_andre(tau) == ap
 
 
@@ -274,7 +274,9 @@ def test_label_transport_matches_oracle():
             lh = _outcome(dyck_to_history, ldp)
             assert lh == _outcome(oracle_dyck_to_history, ldp), ldp
             if lh is not ValueError:
-                assert history_to_dyck(lh) == oracle_history_to_dyck(lh) == ldp
+                assert check_history(lh) == lh
+                back = history_to_dyck(lh)
+                assert check_labeled_dyck(back) == back == oracle_history_to_dyck(lh) == ldp
 
 
 def test_independent_pair_matches_oracle():
@@ -460,6 +462,17 @@ def test_strip_insert_level_steps():
             assert insert_level_steps(comp, ldp) == ap
 
 
+def test_level_steps_return_valid_paths():
+    # the maps validate their input only, so what they return must pass
+    # the validators on its own
+    for n in range(0, 11):
+        for ap in iter_andre_paths(n):
+            comp, ldp = strip_level_steps(ap)
+            assert check_labeled_dyck(ldp) == ldp
+            back = insert_level_steps(comp, ldp)
+            assert check_andre(back) == back
+
+
 def test_andre_counts_match_avoiders():
     for n in range(1, 9):
         assert sum(1 for _ in iter_andre_paths(n)) == formula_pattern132(n)
@@ -480,6 +493,7 @@ def test_involution_andre_bijection():
         image = set()
         for tau in members:
             ap = involution_to_andre(tau)
+            assert check_andre(ap) == ap
             assert len(ap.word) == n
             assert ap.word.count("L") == len(fixed_points(tau))
             assert andre_to_involution(ap) == tau
@@ -498,7 +512,8 @@ def test_fixed_point_removal():
     for n in range(0, 9):
         for tau in generate_involutions(n):
             rho, spots = remove_fixed_points(tau)
-            assert insert_fixed_points(rho, spots) == tau
+            back = insert_fixed_points(rho, spots)
+            assert check_involution(back) == back == tau
 
 
 def test_fixed_point_removal_preserves_avoidance(matchings_by_size):

@@ -79,6 +79,24 @@ def test_count_refined(capsys):
     assert "4\t0\t3" in out and "4\t4\t1" in out
 
 
+def test_count_refined_text(capsys):
+    status, out, _ = run(capsys, "count", "--patterns", "", "--mode", "I",
+                         "--to", "3", "--refine-fixed-points")
+    assert status == 0
+    assert [line.split() for line in out.strip().splitlines()[1:]] == \
+        [["n=1", "fixed=1", "1"], ["n=2", "fixed=0", "1"], ["n=2", "fixed=2", "1"],
+         ["n=3", "fixed=1", "3"], ["n=3", "fixed=3", "1"]]
+
+
+def test_count_formula_is_not_refined(capsys):
+    # the closed forms are totals, so there is nothing to compare a
+    # refined table with
+    status, out, err = run(capsys, "count", "--patterns", "321", "--mode", "I",
+                           "--to", "5", "--formula", "--refine-fixed-points")
+    assert status == 2 and out == ""
+    assert "--refine-fixed-points" in err
+
+
 def test_basis_table_rows(capsys):
     status, out, _ = run(capsys, "basis", "--patterns", "123", "--ambient", "F")
     assert status == 0

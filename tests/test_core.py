@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import invpat.core as core
-from invpat.core import (cycles, format_cycles, format_perm, fpf_code,
-                         fpf_visible_descents, generate_involutions,
+from invpat.core import (cycles, cycles_from_pairs, format_cycles, format_perm,
+                         fpf_code, fpf_visible_descents, generate_fpf,
+                         generate_involutions,
                          generate_permutations, inverse, involution_code,
                          lr_minima, odd_fix_gap, parse_perm, reverse_complement,
                          skew_sum, standardize, visible_descents)
@@ -147,6 +148,22 @@ def test_generators_counts_and_invariants(involutions_by_size, matchings_by_size
             want *= k
         assert len(pool) == want
     assert len(list(generate_permutations(3))) == 6
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(generate_permutations(-1)),
+    lambda: list(generate_involutions(-1)),
+    lambda: list(generate_fpf(-1)),
+    lambda: list(generate_fpf(-2)),
+    lambda: cycles_from_pairs(-1, []),
+    lambda: cycles_from_pairs(2, [(1, 3)]),
+    lambda: cycles_from_pairs(2, [(0, 1)]),
+    lambda: cycles_from_pairs(2, [(1.0, 2)]),
+], ids=["perms_-1", "involutions_-1", "fpf_-1", "fpf_-2", "pairs_size_-1",
+        "pair_above_n", "pair_at_0", "pair_float"])
+def test_bad_sizes_and_pairs_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_generator_counts_to_14():

@@ -38,6 +38,9 @@ def test_involution_and_matching_counts():
     for n in range(12):
         assert involution_count(n) == involution_count_oracle(n)
     assert [matching_count(n) for n in range(8)] == [1, 0, 1, 0, 3, 0, 15, 0]
+    for count, n in ((involution_count, -1), (matching_count, -1), (matching_count, -2)):
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            count(n)
 
 
 def test_formula_values():
