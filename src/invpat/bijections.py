@@ -35,17 +35,22 @@ The maps:
 - ``involution_to_andre``: the composite bijection from 132-avoiding
   involutions to even-level paths; level steps count fixed points.
 
-Cost: each map validates its input in one pass (the two labeled path
-types share one validator), builds its tree in linear time with one
-stack pass into a flat child array, and carries the labels of open U
-steps on a stack between the Dyck path and the history.  The open-slot
-list of the insertion history is kept as a Python list, whose C-level
-index and splice are the only steps that grow with the number of open
-slots.  ``involution_to_andre`` rules out 132 by checking that the
-openers come first, in the same pass that reads the composition and the
-closers.  Each map validates what it is given, once, and nothing it
-returns: what it builds from valid input is valid by construction.  The
-composites call the public maps, so each object the chain builds is
+Cost: each map validates what it is given, once, and nothing it
+returns: what it builds from valid input is valid by construction.
+``history_to_perm``, ``history_to_dyck`` and ``dyck_to_history`` check
+their input inside the loop that reads it, at one comparison per step,
+since the open-slot list or the stack of waiting U steps already holds
+the height that bounds each label.  The other maps call a validator
+first: the level-step maps the one both labeled path types share, the
+maps from permutations and involutions those of ``core``.  Trees are
+built in linear time with one stack pass into a flat child array, and
+the labels of open U steps ride on a stack between the Dyck path and
+the history.  The open-slot list of the insertion history is kept as a
+Python list, whose C-level index and splice are the only steps that
+grow with the number of open slots.
+``involution_to_andre`` rules out 132 by checking that the openers come
+first, in the same pass that reads the composition and the closers.
+The composites call the public maps, so each object the chain builds is
 checked once, as the input of the map that reads it.
 """
 from __future__ import annotations
@@ -54,8 +59,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (Perm, check_fpf, check_involution, check_permutation,
-                   fixed_points, inverse, lr_minima, skew_sum, standardize,
-                   two_cycles)
+                   check_size, fixed_points, inverse, lr_minima, skew_sum,
+                   standardize, two_cycles)
 
 # ---------------------------------------------------------------------------
 # path types
@@ -199,8 +204,7 @@ def iter_motzkin_words(n: int, levels: str = "any") -> Iterator[str]:
     ``levels`` says where level steps may sit: ``"any"``, ``"even"`` (even
     heights only, the André paths) or ``"none"`` (Dyck words).
     """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(n)
     if levels not in ("any", "even", "none"):
         raise ValueError(f"levels must be 'any', 'even' or 'none', got {levels!r}")
     steps = "DU" if levels == "none" else "DLU"
@@ -257,8 +261,7 @@ def iter_andre_paths(n: int) -> Iterator[AndrePath]:
 
 
 def iter_laguerre_histories(n: int) -> Iterator[LaguerreHistory]:
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(n)
     steps: list[str] = []
     labels: list[int] = []
 
@@ -411,13 +414,17 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     >>> history_to_perm(LaguerreHistory(('L1',), (1,)))
     (2, 1)
     """
-    lh = check_history(lh)
-    n = len(lh.steps)
+    steps, labels = lh.steps, lh.labels
+    if len(steps) != len(labels):
+        raise ValueError("one label per step required")
+    n = len(steps)
     kids = [0] * (2 * n + 4)
-    # open slots in in-order; a valid history keeps h + 1 of them at
-    # height h, so every label names one
+    # open slots in in-order: h + 1 of them at height h, so the label
+    # bound is their number, and a D at height 0 leaves none
     slots = [1]
-    for v, (step, lab) in enumerate(zip(lh.steps, lh.labels), 1):
+    for v, (step, lab) in enumerate(zip(steps, labels), 1):
+        if not isinstance(lab, int) or not 0 < lab <= len(slots):
+            raise ValueError(f"label {lab!r} out of range at height {len(slots) - 1}")
         spot = lab - 1
         kids[slots[spot]] = v
         if step == "U":
@@ -426,8 +433,12 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
             slots[spot] = 2 * v
         elif step == "L2":
             slots[spot] = 2 * v + 1
-        else:
+        elif step == "D" and len(slots) > 1:
             del slots[spot]
+        else:
+            raise ValueError(f"bad history step {step!r} at height {len(slots) - 1}")
+    if len(slots) != 1:
+        raise ValueError("history does not return to zero")
     kids[slots[0]] = n + 1  # the forced largest vertex
 
     out: list[int] = []
@@ -458,28 +469,53 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     >>> str(dyck_to_history(LabeledDyck("UUDUUDDDUD", (1, 2, 1, 1, 1))))
     "L',U,D,L'' (1,1,2,1)"
     """
-    word = check_labeled_dyck(ldp).word
+    word, downs = ldp.word, ldp.down_labels
     if not word:
         raise ValueError("need half-length at least 1")
-    downs = iter(ldp.down_labels)
+    if len(word) % 2 or word[0] != "U" or word[-1] != "D" or \
+            word.count("D") != len(downs):
+        raise ValueError(f"not a labeled Dyck path: {word!r}, {downs!r}")
     steps: list[str] = []
     labels: list[int] = []
-    # label indices of the U pairs whose D pair is still to come; in a
-    # valid Dyck word every D pair has one
+    # label indices of the U pairs whose D pair is still to come; an
+    # inner pair starts at height 2w + 1 with w of them waiting
     waiting: list[int] = []
-    for i in range(1, len(word) - 1, 2):
-        pair = word[i:i + 2]
-        if pair == "UU":
+    k = 0  # next down label; the count check keeps every read in range
+    # reading the pair as two one-letter steps builds no string per pair
+    for a, b in zip(word[1:-1:2], word[2:-1:2]):
+        if a == b == "U":
             waiting.append(len(labels))
             steps.append("U")
             labels.append(0)
-        elif pair == "DD":
+            continue
+        # the pair's first D descends from height 2w + 1 or 2w + 2
+        bound = len(waiting) + 1
+        lab = downs[k]
+        if not isinstance(lab, int) or not 0 < lab <= bound:
+            raise ValueError(f"down label {lab!r} out of range 1..{bound} in {word!r}")
+        if a == b == "D":
+            # the second D descends from height 2w: bound w, and w = 0
+            # is a dip below zero
+            up = downs[k + 1]
+            if not isinstance(up, int) or not 0 < up < bound:
+                raise ValueError(f"down label {up!r} out of range 1..{bound - 1} in {word!r}")
+            k += 2
             steps.append("D")
-            labels.append(next(downs))
-            labels[waiting.pop()] = next(downs)
+            labels.append(lab)
+            labels[waiting.pop()] = up
+        elif a == "U" and b == "D":
+            k += 1
+            steps.append("L1")
+            labels.append(lab)
+        elif a == "D" and b == "U":
+            k += 1
+            steps.append("L2")
+            labels.append(lab)
         else:
-            steps.append("L1" if pair == "UD" else "L2")
-            labels.append(next(downs))
+            raise ValueError(f"bad step pair {a!r}, {b!r} in {word!r}")
+    # the last D descends from height 1, so its bound is 1
+    if waiting or not isinstance(downs[-1], int) or downs[-1] != 1:
+        raise ValueError(f"not a labeled Dyck path: {word!r}, {downs!r}")
     return LaguerreHistory(tuple(steps), tuple(labels))
 
 
@@ -493,21 +529,29 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     >>> history_to_dyck(LaguerreHistory((), ())).word
     'UD'
     """
-    lh = check_history(lh)
+    steps, labels = lh.steps, lh.labels
+    if len(steps) != len(labels):
+        raise ValueError("one label per step required")
     downs: list[int] = []
-    # labels of the U steps not yet closed; a valid history never closes
-    # more than it opened
+    # labels of the U steps not yet closed: h of them at height h, so
+    # the label bound is one more, and a D needs one to close
     waiting: list[int] = []
-    for s, lab in zip(lh.steps, lh.labels):
+    for s, lab in zip(steps, labels):
+        if not isinstance(lab, int) or not 0 < lab <= len(waiting) + 1:
+            raise ValueError(f"label {lab!r} out of range at height {len(waiting)}")
         if s == "U":
             waiting.append(lab)
-        elif s == "D":
+        elif s == "D" and waiting:
             downs.append(lab)
             downs.append(waiting.pop())
-        else:
+        elif s == "L1" or s == "L2":
             downs.append(lab)
+        else:
+            raise ValueError(f"bad history step {s!r} at height {len(waiting)}")
+    if waiting:
+        raise ValueError("history does not return to zero")
     downs.append(1)
-    word = "U" + "".join(map(_PAIR.__getitem__, lh.steps)) + "D"
+    word = "U" + "".join(map(_PAIR.__getitem__, steps)) + "D"
     return LabeledDyck(word, tuple(downs))
 
 

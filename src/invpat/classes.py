@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 # here: bench/tracing.py wraps them by name
 from .containment import (Mode, check_for_mode, closed_classical_check,  # noqa: F401
                           one_step_down)
-from .core import (Perm, format_cycles, format_perm, generate_fpf,  # noqa: F401
-                   generate_involutions, is_fpf)
+from .core import (Perm, check_size, format_cycles, format_perm,  # noqa: F401
+                   generate_fpf, generate_involutions, is_fpf)
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def _checked_floor(ps: PatternSet, ambient: Mode, max_size: int) -> int:
     """
     if ambient is Mode.CLASSICAL:
         raise ValueError("ambient must be one of the involution/matching orders")
-    if max_size < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(max_size)
     if ps.mode is Mode.F and ambient is not Mode.F:
         raise ValueError("F-mode pattern sets only filter matchings")
     return min((len(p) for p in ps.patterns), default=max_size + 1)

@@ -130,7 +130,7 @@ def cmd_verify_mcgovern(args) -> int:
 def cmd_bijection(args) -> int:
     from .bijections import AndrePath, andre_to_involution, involution_to_andre
 
-    if args.omega:
+    if args.omega is not None:
         tau = parse_perm(args.omega)
         try:
             ap = involution_to_andre(tau)

@@ -60,6 +60,15 @@ def check_permutation(word: Sequence[int]) -> Perm:
     return tuple(word)
 
 
+def check_size(n: int) -> int:
+    """Return n, or raise ValueError if it is not a nonnegative int."""
+    if not isinstance(n, int):
+        raise ValueError(f"size must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    return n
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -176,9 +185,7 @@ def fixed_points(tau: Perm) -> list[int]:
 
 def cycles_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Perm:
     """Involution of size n with the given cycle pairs (fixed points may be omitted)."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    out = list(range(1, n + 1))
+    out = list(range(1, check_size(n) + 1))
     for a, b in pairs:
         if not all(isinstance(x, int) and 1 <= x <= n for x in (a, b)):
             raise ValueError(f"cycle pair {(a, b)!r} out of range 1..{n}")
@@ -194,9 +201,7 @@ def generate_permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic one-line order."""
     from itertools import permutations
 
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    return iter(permutations(range(1, n + 1)))
+    return iter(permutations(range(1, check_size(n) + 1)))
 
 
 def generate_involutions(n: int) -> Iterator[Perm]:
@@ -206,7 +211,7 @@ def generate_involutions(n: int) -> Iterator[Perm]:
     >>> list(generate_involutions(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
-    yield from _involutions(n, fpf=False)
+    yield from _involutions(check_size(n), fpf=False)
 
 
 def generate_fpf(n: int) -> Iterator[Perm]:
@@ -217,13 +222,11 @@ def generate_fpf(n: int) -> Iterator[Perm]:
     >>> list(generate_fpf(4))
     [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     """
-    if n % 2 == 0 or n < 0:         # _involutions rejects a negative size
+    if check_size(n) % 2 == 0:
         yield from _involutions(n, fpf=True)
 
 
 def _involutions(n: int, fpf: bool) -> Iterator[Perm]:
-    if n < 0:
-        raise ValueError("size must be nonnegative")
     word = [0] * n
 
     def fill(i: int) -> Iterator[Perm]:

@@ -25,7 +25,7 @@ from math import comb, factorial
 # class_members stays importable here: bench/tracing.py wraps it by name
 from .classes import PatternSet, _checked_floor, avoider_levels, class_members  # noqa: F401
 from .containment import Mode
-from .core import fixed_points
+from .core import check_size, fixed_points
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,7 @@ def count_table(ps: PatternSet, ambient: Mode, n_max: int,
 
 def involution_count(n: int) -> int:
     """Number of involutions of size n: a(n) = a(n-1) + (n-1) a(n-2)."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(n)
     a, b = 1, 1
     for k in range(2, n + 1):
         a, b = b, b + (k - 1) * a
@@ -219,9 +218,7 @@ def involution_count(n: int) -> int:
 
 def matching_count(n: int) -> int:
     """(n-1)!! matchings of size n for even n, else 0."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n % 2:
+    if check_size(n) % 2:
         return 0
     out = 1
     for k in range(1, n, 2):
@@ -278,8 +275,7 @@ def formula_pattern2143(n: int) -> int:
     >>> [formula_pattern2143(n) for n in range(5)]
     [1, 1, 2, 4, 9]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_size(n)
     return sum(comb(n, 2 * k) * factorial(k) for k in range(n // 2 + 1))
 
 

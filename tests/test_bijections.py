@@ -232,11 +232,63 @@ def test_path_validators_match_multipass_oracle():
             for size in range(max(d - 1, 0), d + 2):
                 for labels in product(range(4), repeat=size):
                     cases += 1
-                    assert _raises(check_labeled_dyck, LabeledDyck(word, labels)) == \
-                        _raises(oracle_check_labeled_dyck, word, labels), (word, labels)
+                    ldp = LabeledDyck(word, labels)
+                    rejected = _raises(check_labeled_dyck, ldp)
+                    assert rejected == _raises(oracle_check_labeled_dyck, word, labels), \
+                        (word, labels)
                     assert _raises(check_andre, AndrePath(word, labels)) == \
                         _raises(oracle_check_andre, word, labels), (word, labels)
+                    # dyck_to_history checks its input in the loop that reads it
+                    assert _raises(dyck_to_history, ldp) == (rejected or not word), ldp
     assert cases > 500_000
+
+
+# labels of every kind a caller may pass: in range, out of range, and
+# equal to an int without being one (True is an int to isinstance)
+_JUNK_LABELS = (0, 1, 2, 3, 1.0, True, "1")
+
+
+def test_dyck_to_history_rejects_what_the_validator_rejects():
+    from itertools import product
+
+    words = [w for n in range(0, 5) for w in map("".join, product("UDL", repeat=n))]
+    words += list(iter_dyck_words(3))
+    cases = 0
+    for word in words:
+        d = word.count("D")
+        for size in range(max(d - 1, 0), d + 2):
+            for labels in product(_JUNK_LABELS, repeat=size):
+                cases += 1
+                ldp = LabeledDyck(word, labels)
+                lh = _outcome(dyck_to_history, ldp)
+                if not word or _raises(check_labeled_dyck, ldp):
+                    assert lh is ValueError, ldp
+                else:
+                    assert check_history(lh) == lh and history_to_dyck(lh) == ldp, ldp
+    assert cases > 50_000
+
+
+def test_history_maps_reject_what_the_validator_rejects():
+    from itertools import product
+
+    # (longest history, labels, label count minus step count)
+    blocks = ((4, range(4), (0,)), (3, _JUNK_LABELS, (0,)), (2, _JUNK_LABELS, (-1, 1)))
+    cases = 0
+    for n, label_set, offsets in blocks:
+        for length in range(0, n + 1):
+            for steps in product(("U", "D", "L1", "L2", "X"), repeat=length):
+                for size in (length + d for d in offsets if length + d >= 0):
+                    for labels in product(label_set, repeat=size):
+                        cases += 1
+                        lh = LaguerreHistory(steps, labels)
+                        sigma = _outcome(history_to_perm, lh)
+                        ldp = _outcome(history_to_dyck, lh)
+                        if _raises(check_history, lh):
+                            assert sigma is ldp is ValueError, lh
+                        else:
+                            assert perm_to_history(sigma) == lh, lh
+                            assert dyck_to_history(ldp) == lh, lh
+    assert cases > 200_000
 
 
 def test_132_guard_matches_reference():

@@ -195,6 +195,13 @@ def test_bijection_round_trip(capsys):
     assert status2 == 0 and "645231" in out2
 
 
+def test_bijection_of_the_empty_involution(capsys):
+    status, out, _ = run(capsys, "bijection", "--omega", "")
+    assert (status, out) == (0, "() -> () ()\n")
+    status, out, _ = run(capsys, "bijection", "--omega-inv", "", "--labels", "")
+    assert (status, out) == (0, "() () -> ()\n")
+
+
 def test_bijection_errors(capsys):
     status, _, err = run(capsys, "bijection", "--omega", "132")
     assert status == 2 and "132" in err

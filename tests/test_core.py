@@ -10,6 +10,10 @@ from invpat.core import (cycles, cycles_from_pairs, format_cycles, format_perm,
                          generate_permutations, inverse, involution_code,
                          lr_minima, odd_fix_gap, parse_perm, reverse_complement,
                          skew_sum, standardize, visible_descents)
+from invpat.bijections import iter_laguerre_histories, iter_motzkin_words
+from invpat.classes import PatternSet
+from invpat.containment import Mode
+from invpat.enumeration import count_table, involution_count, matching_count
 from conftest import involution_count_oracle
 
 
@@ -159,8 +163,20 @@ def test_generators_counts_and_invariants(involutions_by_size, matchings_by_size
     lambda: cycles_from_pairs(2, [(1, 3)]),
     lambda: cycles_from_pairs(2, [(0, 1)]),
     lambda: cycles_from_pairs(2, [(1.0, 2)]),
+    lambda: list(generate_permutations(1.5)),
+    lambda: list(generate_involutions(2.0)),
+    lambda: list(generate_fpf(2.5)),
+    lambda: cycles_from_pairs(2.0, []),
+    lambda: list(iter_motzkin_words(2.5)),
+    lambda: list(iter_laguerre_histories(1.5)),
+    lambda: involution_count(2.5),
+    lambda: matching_count(2.0),
+    lambda: count_table(PatternSet([], Mode.I), Mode.I, 2.5),
 ], ids=["perms_-1", "involutions_-1", "fpf_-1", "fpf_-2", "pairs_size_-1",
-        "pair_above_n", "pair_at_0", "pair_float"])
+        "pair_above_n", "pair_at_0", "pair_float", "perms_1.5",
+        "involutions_2.0", "fpf_2.5", "pairs_size_2.0", "motzkin_2.5",
+        "histories_1.5", "involution_count_2.5", "matching_count_2.0",
+        "count_table_2.5"])
 def test_bad_sizes_and_pairs_rejected(call):
     with pytest.raises(ValueError):
         call()
