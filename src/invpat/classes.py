@@ -6,6 +6,8 @@ are read in.  One level engine, :func:`avoider_levels`, grows the
 avoiders of a set size by size, each element from a smaller member, and
 keeps a candidate iff its one-step deletions are all members, decided
 by integer lookups of image ids rather than by building the images.
+One candidate loop grows both kinds of element: those whose last cycle
+is a fixed point and those whose last cycle is a 2-cycle.
 Class members (:func:`class_members`), bases (:func:`compute_basis`),
 counts (:mod:`invpat.enumeration`) and the equality sweeps
 (:mod:`invpat.mcgovern`) all read it.  A basis is
@@ -95,12 +97,15 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     names a member one or two sizes down.  To look that up, when some
     size above the floor is checked, every level below ``max_size`` holds
     two integer arrays: the size-m member grown from (parent id, slot) at
-    index parent id * m + slot (-1 where none grew), and per member a flat
-    run of its images' ids, ordered by the last position of the deleted
-    unit, so U's images come last.  Every member
-    gets its run from its own check, which always passes up to the floor;
-    when no size above the floor is checked, no table is held and nothing
-    is checked.  The candidate tuple is built only for closed candidates.
+    index parent id * m + slot (-1 where none grew), and the members'
+    runs back to back, in member order, each its images' ids ordered by
+    the last position of the deleted unit, so U's images come last.
+    Every member gets its run from its own check, which always passes up
+    to the floor; when no size above the floor is checked, no table is
+    held and nothing is checked.  One loop grows the candidates of both
+    kinds of U, slot 0 with the key formula of slots 1..n-1; it walks
+    each parent once and reads its run in step, so the runs need no
+    offsets.  The candidate tuple is built only for closed candidates.
 
     A classical set is checked only where a pattern can still occur.
     Every candidate that reaches the check is closed, so its one-step
@@ -133,27 +138,11 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         order = ps.mode
         excluded = ps.patterns.__contains__
     fpf_only = ambient is Mode.F and order is not Mode.F
-    fix_ok = order is not Mode.F
     collapse_ok = order is Mode.I
     # closure is checked, and the levels below max_size hold tables, at
     # every size or at none
     check = floor < max_size
     past = max_size + 1             # stands for "no second deleted position"
-
-    def units(sigma: Perm) -> list[tuple[int, int, int, int]]:
-        """Sigma's one-step images by the last position of their unit, each
-        as (deleted positions lo and hi, the slot that loses it or 0, size
-        drop)."""
-        out = []
-        for i, v in enumerate(sigma, 1):
-            if v == i:
-                if fix_ok:
-                    out.append((i, past, 0, 1))
-            elif v < i:
-                out.append((v, i, 0, 2))
-                if collapse_ok and v == i - 1:
-                    out.append((i, past, i, 1))
-        return out
 
     def grow(n: int, last, older, below, table):
         """Yield the size-n members, checked against the tables ``below`` of
@@ -169,81 +158,68 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         kids, runs = table or (None, None)
         found = 0
         if check:
-            # by size drop: the kids map of the level an image lies in
-            (last_kids, last_runs), (older_kids, older_runs) = below
-            kids_at = (None, last_kids, older_kids)
+            (last_kids, _), (older_kids, _) = below
 
-        off = 0
-        for j, sigma in enumerate(last if fix_ok else ()):
-            # U is the fixed point n; the rest keeps its slot 0
-            if check:
-                ents = units(sigma)
-                ids = []
-                i = 0                   # -1 once an image is not a member
-                for (_, _, _, d), g in zip(ents, last_runs[off:off + len(ents)]):
-                    i = kids_at[d][g * (n - d)]
-                    if i < 0:
-                        break
-                    ids.append(i)
-                off += len(ents)
-                if i < 0:
-                    continue
-            tau = sigma + (n,)
-            if screen and excluded(tau):
-                if violators is not None:
-                    violators.append(tau)
-                continue
-            if kids is not None:
-                kids[j * n] = found
-                runs.extend(ids)
-                runs.append(j)
-            found += 1
-            yield tau
+        def images(sigma: Perm, ids) -> list[tuple]:
+            """Sigma's one-step images in run order, each as (deleted
+            positions lo and hi, the slot that loses it or -1, and where a
+            candidate's matching image is keyed: a kids map and the key's
+            base), taking each image's id from ``ids``."""
+            out = []
+            for i, v in enumerate(sigma, 1):
+                if v == i:
+                    out.append((i, past, -1, last_kids, next(ids) * (n - 1)))
+                elif v < i:
+                    out.append((v, i, -1, older_kids, next(ids) * (n - 2)))
+                    if collapse_ok and v == i - 1:
+                        out.append((i, past, i, last_kids, next(ids) * (n - 1)))
+            return out
 
-        off = 0
-        for j, sigma in enumerate(older):
-            # U is the 2-cycle (s, n)
-            if check:
-                ents = units(sigma)
-                refs = [(lo, hi, cut, kids_at[d], g * (n - d))
-                        for (lo, hi, cut, d), g in
-                        zip(ents, older_runs[off:off + len(ents)])]
-                off += len(ents)
-                # the collapse image of U = (n-1, n) is sigma + (n-1,)
-                tail = kids_at[1][j * (n - 1)] if collapse_ok else 0
-            # up is sigma with every value >= s raised by one; moving to
-            # s + 1 lowers the value s back, at position sigma[s - 1]
-            up = [w + 1 for w in sigma]
-            for s in range(1, n):
-                if s > 1:
-                    up[sigma[s - 2] - 1] = s - 1
+        # U is the fixed point n (slot 0) or the 2-cycle (s, n) (slot s)
+        for drop, parents, slots in ((1, () if order is Mode.F else last, (0,)),
+                                     (2, older, range(1, n))):
+            # each parent's run holds one id per image, in images() order
+            ids_in = iter(below[drop - 1][1]) if check else None
+            # in I, U = (n-1, n) also collapses, to sigma + (n-1,)
+            top = n - 1 if drop == 2 and collapse_ok else -1
+            for j, sigma in enumerate(parents):
                 if check:
-                    if s == n - 1 and tail < 0:
-                        continue
-                    ids = []
-                    i = 0
-                    for lo, hi, cut, kid, base in refs:
-                        if s != cut:
-                            i = kid[base + s - (lo < s) - (hi < s)]
+                    refs = images(sigma, ids_in)
+                if drop == 2:
+                    # up is sigma with every value >= s raised by one; moving
+                    # to s + 1 lowers the value s back, at position sigma[s - 1]
+                    up = [w + 1 for w in sigma]
+                for s in slots:
+                    if s > 1:
+                        up[sigma[s - 2] - 1] = s - 1
+                    if check:
+                        ids = []
+                        i = 0                   # -1 once an image is not a member
+                        for lo, hi, cut, kid, base in refs:
+                            if s != cut:
+                                i = kid[base + s - (lo < s) - (hi < s)]
+                                if i < 0:
+                                    break
+                                ids.append(i)
+                        if i < 0:
+                            continue
+                        # U ends at n, so its images come last
+                        ids.append(j)
+                        if s == top:
+                            i = last_kids[j * (n - 1)]
                             if i < 0:
-                                break
+                                continue
                             ids.append(i)
-                    if i < 0:
+                    tau = (*up[:s - 1], n, *up[s - 1:], s) if s else sigma + (n,)
+                    if screen and excluded(tau):
+                        if violators is not None:
+                            violators.append(tau)
                         continue
-                tau = (*up[:s - 1], n, *up[s - 1:], s)
-                if screen and excluded(tau):
-                    if violators is not None:
-                        violators.append(tau)
-                    continue
-                if kids is not None:
-                    kids[j * n + s] = found
-                    # U ends at n, so its images come last
-                    ids.append(j)
-                    if collapse_ok and s == n - 1:
-                        ids.append(tail)
-                    runs.extend(ids)
-                found += 1
-                yield tau
+                    if kids is not None:
+                        kids[j * n + s] = found
+                        runs.extend(ids)
+                    found += 1
+                    yield tau
 
     older: list[Perm] = []
     last: list[Perm] = []

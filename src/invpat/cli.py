@@ -15,8 +15,9 @@ Subcommands:
 Everything is exhaustive and deterministic; exit status 0 iff all
 requested checks pass, and 2 on bad arguments such as a ``--to`` below
 1 (below 2 for ``count --mode F`` and for part 2 of
-``verify-mcgovern``).  ``--format rows`` prints tab-separated rows with
-a header instead of aligned text.
+``verify-mcgovern``).  On ``count`` and ``basis``, ``--format rows``
+prints tab-separated rows with a header instead of aligned text; the
+other subcommands have no ``--format``.
 """
 from __future__ import annotations
 
@@ -79,8 +80,16 @@ def cmd_count(args) -> int:
                 print(f"no closed form on file for {ps}", file=sys.stderr)
                 return 2
             name, closed = FORMULAS[key]
-        rows = [(n, c, closed(n), c == closed(n)) for n, c in sorted(table.counts.items())]
-        print(format_count_comparison(rows, "exhaustive", "formula"))
+        rows = []
+        for n, c in sorted(table.counts.items()):
+            want = closed(n)
+            rows.append((n, c, want, c == want))
+        if args.format == "rows":
+            print("\n".join(["n\texhaustive\tformula\tmatch"]
+                            + [f"{n}\t{c}\t{want}\t{'yes' if ok else 'NO'}"
+                               for n, c, want, ok in rows]))
+        else:
+            print(format_count_comparison(rows, "exhaustive", "formula"))
         return 0 if all(ok for *_, ok in rows) else 1
     if args.format == "rows":
         print("\n".join(table.to_rows()))

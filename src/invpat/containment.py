@@ -404,12 +404,14 @@ def closed_classical_check(patterns):
     conjugation by the decreasing permutation), a candidate and its
     mirror get the same answer: rc keeps the unit count, p is contained
     in tau iff rc(p) is contained in rc(tau), and so each checker of
-    ``by_units`` holds an rc-closed set.  The test then searches only
-    the first of each mirror pair asked at one size, keeps its verdict
-    until the mirror is asked, and drops what is left when the size
-    changes.  This holds on every haystack, closed or not.  ``PI_SMOOTH``,
-    ``PI`` and ``PI_PRIME`` are all rc-closed; a set whose cut is not
-    searches every candidate.
+    ``by_units`` holds an rc-closed set.  For such a set the one test
+    searches only the first of each mirror pair asked at one size, keeps
+    its verdict until the mirror is asked, and drops what is left when
+    the size changes.  This holds on every haystack, closed or not.
+    ``PI_SMOOTH``, ``PI`` and ``PI_PRIME`` are all rc-closed; for a set
+    whose cut is not, the test skips the mirrors and searches every
+    candidate.  The mirror is read off the candidate, which is not
+    validated again.
 
     >>> check = closed_classical_check([(1, 2), (3, 2, 1), (1, 3, 2)])
     >>> check((3, 2, 1)), check((1, 2)), check((1, 2, 3))
@@ -419,31 +421,27 @@ def closed_classical_check(patterns):
     largest = max((len(p) for p in patterns), default=0)
     by_units = [PatternChecker([p for p in patterns if len(p) >= u], Mode.CLASSICAL)
                 for u in range(largest + 1)]
-
-    def contains_any(tau: Perm) -> bool:
-        units = sum(v > i for i, v in enumerate(tau))
-        return units <= largest and by_units[units].contains_any(tau)
-
-    if {reverse_complement(p) for p in patterns} != set(patterns):
-        return contains_any
-
+    shared = {reverse_complement(p) for p in patterns} == set(patterns)
     pending: dict[Perm, bool] = {}      # searched, mirror not yet asked
     size = -1
 
-    def contains_any_shared(tau: Perm) -> bool:
+    def contains_any(tau: Perm) -> bool:
         nonlocal size
         units = sum(v > i for i, v in enumerate(tau))
         if units > largest:
             return False
-        if len(tau) != size:
-            pending.clear()
-            size = len(tau)
-        mirror = reverse_complement(tau)
-        if mirror == tau:
+        if not shared:
             return by_units[units].contains_any(tau)
+        n = len(tau)
+        if n != size:
+            pending.clear()
+            size = n
+        mirror = tuple(n + 1 - v for v in reversed(tau))
         if mirror in pending:
             return pending.pop(mirror)
-        verdict = pending[tau] = by_units[units].contains_any(tau)
+        verdict = by_units[units].contains_any(tau)
+        if mirror != tau:
+            pending[tau] = verdict
         return verdict
 
-    return contains_any_shared
+    return contains_any

@@ -69,10 +69,6 @@ def check_size(n: int) -> int:
     return n
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def inverse(pi: Perm) -> Perm:
     """
     The inverse permutation; anything else raises ``ValueError``.

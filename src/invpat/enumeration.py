@@ -54,9 +54,6 @@ class PolyT:
             a, b = b, a
         return PolyT(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
 
-    def __sub__(self, other: "PolyT") -> "PolyT":
-        return self + PolyT(tuple(-c for c in other.coeffs))
-
     def __mul__(self, other: "PolyT") -> "PolyT":
         a, b = self.coeffs, other.coeffs
         if not a or not b:

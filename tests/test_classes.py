@@ -162,6 +162,10 @@ def test_image_pointers_match_tuple_closure(involutions_by_size):
         for mode in (Mode.I, Mode.IPRIME):
             cases.append((PatternSet([decreasing], mode), mode, 10))
     cases.append((PatternSet([tuple(range(9, 0, -1))], Mode.CLASSICAL), Mode.I, 10))
+    # classical sets that are not rc-closed, past the scan's size 8
+    for mode in (Mode.I, Mode.IPRIME):
+        cases.append((PatternSet([(1, 3, 2)], Mode.CLASSICAL), mode, 13))
+    cases.append((PatternSet([(2, 3, 1)], Mode.CLASSICAL), Mode.F, 16))
     for ps, ambient, top in cases:
         violators = []
         levels = [set(members) for _, members in avoider_levels(ps, ambient, top, violators)]

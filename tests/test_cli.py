@@ -1,6 +1,7 @@
 import pytest
 
-from invpat.cli import main
+from invpat.cli import FORMULAS, main
+from invpat.containment import Mode
 
 
 def run(capsys, *argv):
@@ -70,6 +71,28 @@ def test_count_matchings_rows(capsys):
     assert [r.split("\t") for r in rows[1:]] == \
         [["2", "1"], ["4", "2"], ["6", "6"], ["8", "24"],
          ["10", "120"], ["12", "720"]]
+
+
+def test_count_formula_rows(capsys, monkeypatch):
+    status, out, _ = run(capsys, "count", "--patterns", "2143", "--mode", "F",
+                         "--to", "8", "--formula", "--format", "rows")
+    assert status == 0
+    assert [r.split("\t") for r in out.strip().splitlines()] == \
+        [["n", "exhaustive", "formula", "match"], ["2", "1", "1", "yes"],
+         ["4", "2", "2", "yes"], ["6", "6", "6", "yes"], ["8", "24", "24", "yes"]]
+    # a wrong closed form, asked once per row, prints NO and fails
+    asked = []
+
+    def wrong(n):
+        asked.append(n)
+        return 7
+
+    key = ((2, 1, 4, 3), Mode.F)
+    monkeypatch.setitem(FORMULAS, key, ("wrong", wrong))
+    status, out, _ = run(capsys, "count", "--patterns", "2143", "--mode", "F",
+                         "--to", "4", "--formula", "--format", "rows")
+    assert status == 1 and asked == [2, 4]
+    assert out.splitlines()[1:] == ["2\t1\t7\tNO", "4\t2\t7\tNO"]
 
 
 def test_count_refined(capsys):
@@ -171,6 +194,7 @@ def test_verify_mcgovern_progress(capsys):
     ["verify-mcgovern", "--to", "8", "--workers", "2"],
     ["verify-mcgovern", "--to", "8", "--checkpoint", "sweep.txt"],
     ["verify-mcgovern", "--long-run"],
+    ["verify-mcgovern", "--to", "8", "--format", "rows"],
 ])
 def test_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
