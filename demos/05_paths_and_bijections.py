@@ -9,11 +9,12 @@ into a labeled Dyck path; and re-inserting one level step per fixed
 point yields a Motzkin path whose level steps all sit at even height.
 Every arrow is invertible.
 """
-from invpat.bijections import (andre_to_involution, dyck_to_history,
-                               history_to_dyck, history_to_perm,
-                               involution_to_andre, iter_andre_paths,
-                               perm_to_history, remove_fixed_points,
-                               skew_half, strip_level_steps)
+from invpat.bijections import (_tree_kids, andre_to_involution,
+                               dyck_to_history, history_to_dyck,
+                               history_to_perm, involution_to_andre,
+                               iter_andre_paths, perm_to_history,
+                               remove_fixed_points, skew_half,
+                               strip_level_steps)
 from invpat.classes import PatternSet, class_members
 from invpat.containment import Mode
 from invpat.core import format_perm, parse_perm
@@ -35,6 +36,8 @@ print("  (round trip:", format_perm(history_to_perm(lh)), ")")
 
 ldp = history_to_dyck(lh)
 print("labeled Dyck path:", ldp)
+print("  (its word is the child slots, filled = U:", "".join(
+    "U" if v else "D" for v in _tree_kids(sigma)[1:2 * len(sigma) + 1]), "=", ldp.word, ")")
 print("  (back again:", dyck_to_history(ldp), ")")
 
 ap = involution_to_andre(tau)

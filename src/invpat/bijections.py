@@ -50,8 +50,10 @@ Python list, whose C-level index and splice are the only steps that
 grow with the number of open slots.
 ``involution_to_andre`` rules out 132 by checking that the openers come
 first, in the same pass that reads the composition and the closers.
-The composites call the public maps, so each object the chain builds is
-checked once, as the input of the map that reads it.
+The composites build no history and no labeled Dyck path: they read the
+Dyck word off the child array of the closers' permutation and replay
+its open slots once for the labels, so the only checks they run are on
+their caller's input.
 """
 from __future__ import annotations
 
@@ -440,7 +442,11 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     if len(slots) != 1:
         raise ValueError("history does not return to zero")
     kids[slots[0]] = n + 1  # the forced largest vertex
+    return _in_order(kids)
 
+
+def _in_order(kids: list[int]) -> Perm:
+    """The vertices of a child array laid out as in :func:`_tree_kids`, in in-order."""
     out: list[int] = []
     path: list[int] = []
     v = kids[1]
@@ -568,19 +574,24 @@ def strip_level_steps(ap: AndrePath) -> tuple[tuple[int, ...], LabeledDyck]:
     >>> strip_level_steps(AndrePath("UDLL", (1,)))
     ((0, 2), LabeledDyck(word='UD', down_labels=(1,)))
     """
-    ap = check_andre(ap)
-    dyck = ap.word.replace("L", "")
+    comp, dyck = _level_blocks(check_andre(ap).word)
+    return tuple(comp), LabeledDyck(dyck, ap.down_labels)
+
+
+def _level_blocks(word: str) -> tuple[list[int], str]:
+    """The level-block sizes and the Dyck word of a checked André path."""
+    dyck = word.replace("L", "")
     # check_andre makes the Dyck steps return to height 0, so there is an
     # even number of them, and puts every L at even height, so an even
     # number of them precedes each L
     comp = [0] * (len(dyck) // 2 + 1)
     seen = 0
-    for s in ap.word:
+    for s in word:
         if s == "L":
             comp[seen // 2] += 1
         else:
             seen += 1
-    return tuple(comp), LabeledDyck(dyck, ap.down_labels)
+    return comp, dyck
 
 
 def insert_level_steps(comp: tuple[int, ...], ldp: LabeledDyck) -> AndrePath:
@@ -655,6 +666,15 @@ def involution_to_andre(tau: Perm) -> AndrePath:
     every opener, and a squashed 2-cycle must lie wholly left of the
     2-cycle it meets, so no fixed-point unit lies left of any opener.
 
+    The closers' values in position order form a permutation sigma of
+    1..k, and the path is ``history_to_dyck(perm_to_history(sigma))``
+    with ``comp[i]`` level steps after its 2i-th step.  Neither is
+    built: step j of that Dyck word is U iff child slot j + 1 of
+    ``_tree_kids(sigma)`` is filled, because the word is U, the
+    (left, right) pair of each vertex 1..k-1, then D, that is the slots
+    R(0) L(1) R(1) ... R(k-1) L(k) in order: the root fills R(0) and
+    the largest vertex k is a leaf.
+
     >>> involution_to_andre((1, 2, 3)).word
     'LLL'
     >>> str(involution_to_andre((2, 1)))
@@ -679,25 +699,83 @@ def involution_to_andre(tau: Perm) -> AndrePath:
             comp[len(sigma)] += 1
         else:
             sigma.append(v)
-    ldp = history_to_dyck(perm_to_history(tuple(sigma))) if k else LabeledDyck("", ())
-    return insert_level_steps(tuple(comp), ldp)
+    if not k:
+        return AndrePath("L" * n, ())
+    kids = _tree_kids(sigma)
+    # replay the insertions of perm_to_history for the down labels of
+    # history_to_dyck: a U's label waits for the D that closes it
+    slots = [kids[1]]
+    downs: list[int] = []
+    waiting: list[int] = []
+    for v in range(1, k):
+        spot = slots.index(v)
+        left, right = kids[2 * v], kids[2 * v + 1]
+        if left and right:
+            slots[spot:spot + 1] = (left, right)
+            waiting.append(spot + 1)
+            continue
+        downs.append(spot + 1)
+        if left or right:
+            slots[spot] = left or right
+        else:
+            del slots[spot]
+            downs.append(waiting.pop())
+    downs.append(1)
+    word = ["L" * comp[0]]
+    for i in range(k):
+        word += "DU"[kids[2 * i + 1] > 0], "DU"[kids[2 * i + 2] > 0], "L" * comp[i + 1]
+    return AndrePath("".join(word), tuple(downs))
 
 
 def andre_to_involution(ap: AndrePath) -> Perm:
     """
-    Inverse of :func:`involution_to_andre`.
+    Inverse of :func:`involution_to_andre`: read the Dyck word's step
+    pairs as history steps, replay the insertions into a child array and
+    read it in in-order.
 
     >>> andre_to_involution(AndrePath("UD", (1,)))
     (2, 1)
     """
-    comp, ldp = strip_level_steps(ap)
-    k = ldp.half_length
+    word, downs = check_andre(ap).word, ap.down_labels
+    comp, dyck = _level_blocks(word)
+    k = len(dyck) // 2
+    # the history labels, as dyck_to_history transports them: a D pair
+    # gives its second label to the U pair it closes
+    pairs = list(zip(dyck[1:-1:2], dyck[2:-1:2]))
+    labels = [0] * k
+    waiting: list[int] = []
+    j = 0
+    for v, (a, b) in enumerate(pairs, 1):
+        if a == b == "U":
+            waiting.append(v)
+            continue
+        labels[v] = downs[j]
+        j += 1
+        if a == b:
+            labels[waiting.pop()] = downs[j]
+            j += 1
+    # replay the insertions as history_to_perm does; a U step of the
+    # pair says that side of the vertex gets a child
+    kids = [0] * (2 * k + 2)
+    slots = [1]
+    for v, (a, b) in enumerate(pairs, 1):
+        spot = labels[v] - 1
+        kids[slots[spot]] = v
+        if a == b == "U":
+            slots[spot:spot + 1] = (2 * v, 2 * v + 1)
+        elif a == "U":
+            slots[spot] = 2 * v
+        elif b == "U":
+            slots[spot] = 2 * v + 1
+        else:
+            del slots[spot]
+    kids[slots[0]] = k  # the forced largest vertex
     # the matching's lower-right block: the opener of the j-th closer
     # is sigma[j]
-    sigma = history_to_perm(dyck_to_history(ldp)) if k else ()
+    sigma = _in_order(kids)
     # closers sit after the k openers, y_0 fixed points, closer, y_1
     # fixed points, closer, ...; every other position is a fixed point
-    out = list(range(1, len(ap.word) + 1))
+    out = list(range(1, len(word) + 1))
     pos = k
     for j in range(k):
         pos += comp[j] + 1

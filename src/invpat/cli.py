@@ -8,7 +8,8 @@ Subcommands:
 - ``basis``: minimal violators of classical patterns in a deletion order.
 - ``verify-mcgovern``: the equality sweeps; ``--to 16`` proves both
   equalities for every size.
-- ``bijection``: map an involution to its even-level path and back.
+- ``bijection``: map an involution to its even-level path and back;
+  ``--labels`` goes with ``--omega-inv`` only.
 - ``identities``: the counting identities (block-pattern symmetry,
   fixed-point factorization, three-term recurrence, continued fraction).
 
@@ -140,6 +141,10 @@ def cmd_bijection(args) -> int:
     from .bijections import AndrePath, andre_to_involution, involution_to_andre
 
     if args.omega is not None:
+        if args.labels is not None:
+            print("--labels labels the down steps of an --omega-inv path: it "
+                  "cannot be combined with --omega", file=sys.stderr)
+            return 2
         tau = parse_perm(args.omega)
         try:
             ap = involution_to_andre(tau)
@@ -149,7 +154,11 @@ def cmd_bijection(args) -> int:
         print(f"{format_perm(tau)} -> {ap}")
         return 0
     word = args.omega_inv
-    labels = tuple(int(x) for x in args.labels.split(",") if x) if args.labels else ()
+    fields = args.labels.split(",") if args.labels else []
+    if "" in fields:
+        print(f"error: empty field in --labels {args.labels!r}", file=sys.stderr)
+        return 2
+    labels = tuple(map(int, fields))
     ap = AndrePath(word, labels)
     try:
         tau = andre_to_involution(ap)
@@ -248,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="map a 132-avoiding involution to its path")
     way.add_argument("--omega-inv", metavar="WORD",
                      help="step word like LUDUULUDLDDL; needs --labels for D steps")
-    bij.add_argument("--labels", default="",
-                     help="comma-separated down-step labels, left to right")
+    bij.add_argument("--labels",
+                     help="comma-separated down-step labels, left to right "
+                          "(--omega-inv only)")
     bij.set_defaults(fn=cmd_bijection)
 
     idn = sub.add_parser("identities", help="counting identities")

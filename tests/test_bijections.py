@@ -320,6 +320,18 @@ def test_composites_match_oracle_chain():
             assert involution_to_andre(tau) == oracle_involution_to_andre(tau) == ap
 
 
+def test_dyck_word_is_read_off_the_child_slots():
+    # the lemma the composites rest on: history_to_dyck writes
+    # "U" + (left, right) slot pairs of vertices 1..k-1 + "D", that is
+    # R(0) L(1) R(1) ... R(k-1) L(k), child slots 1..2k in order
+    for k in range(1, 9):
+        for sigma in permutations(range(1, k + 1)):
+            kids = bijections._tree_kids(sigma)
+            word = "".join("U" if v else "D" for v in kids[1:2 * k + 1])
+            assert history_to_dyck(perm_to_history(sigma)).word == word, sigma
+            assert involution_to_andre(from_skew_half(sigma, False)).word == word, sigma
+
+
 def test_label_transport_matches_oracle():
     for half in range(0, 8):
         for ldp in iter_labeled_dyck(half):

@@ -238,6 +238,23 @@ def test_bijection_errors(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("labels", ["1,,1", ",1,1,", ",", "1,1,"])
+def test_bijection_rejects_empty_label_fields(capsys, labels):
+    status, out, err = run(capsys, "bijection", "--omega-inv", "UDUD",
+                           "--labels", labels)
+    assert status == 2 and out == "" and "empty field" in err
+
+
+def test_bijection_labels_need_a_path(capsys):
+    # a path with no down steps takes no labels, given or empty
+    for argv in (["--labels", ""], []):
+        status, out, _ = run(capsys, "bijection", "--omega-inv", "LL", *argv)
+        assert (status, out) == (0, "LL () -> 12\n")
+    for labels in ("7,7", ""):
+        status, out, err = run(capsys, "bijection", "--omega", "21", "--labels", labels)
+        assert status == 2 and out == "" and "--omega" in err
+
+
 def test_identities(capsys):
     status, out, _ = run(capsys, "identities", "--stanley", "--m", "2",
                          "--to", "10")
