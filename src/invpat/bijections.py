@@ -35,25 +35,30 @@ The maps:
 - ``involution_to_andre``: the composite bijection from 132-avoiding
   involutions to even-level paths; level steps count fixed points.
 
-Cost: each map validates what it is given, once, and nothing it
-returns: what it builds from valid input is valid by construction.
-``history_to_perm``, ``history_to_dyck`` and ``dyck_to_history`` check
-their input inside the loop that reads it, at one comparison per step,
-since the open-slot list or the stack of waiting U steps already holds
-the height that bounds each label.  The other maps call a validator
-first: the level-step maps the one both labeled path types share, the
-maps from permutations and involutions those of ``core``.  Trees are
-built in linear time with one stack pass into a flat child array, and
-the labels of open U steps ride on a stack between the Dyck path and
-the history.  The open-slot list of the insertion history is kept as a
-Python list, whose C-level index and splice are the only steps that
-grow with the number of open slots.
+Cost: each step of the chain has one loop, in one private core that
+its public map and one of the composites call.  ``_tree_history``
+replays the open slots of a child array into history steps and labels,
+``_history_tree`` replays a history back into a child array,
+``_history_downs`` carries a history's labels to the down steps of its
+Dyck path and ``_dyck_history`` carries them back.  Each map checks its
+input once and nothing it returns: what it builds from valid input is
+valid by construction.  The three cores that read a history or a
+labeled Dyck path check it inside their loop, at one comparison per
+label, since the open-slot list or the stack of waiting U steps already
+holds the height that bounds it; in the composites those comparisons
+also run on the steps passed from one core to the next.  The other maps
+call a validator first: the level-step maps the one both labeled path
+types share, the maps from permutations and involutions those of
+``core``.  Trees are built in linear time with one stack pass into a
+flat child array.  The open-slot list of the insertion history is kept
+as a Python list, whose C-level index and splice are the only steps
+that grow with the number of open slots.
 ``involution_to_andre`` rules out 132 by checking that the openers come
-first, in the same pass that reads the composition and the closers.
-The composites build no history and no labeled Dyck path: they read the
-Dyck word off the child array of the closers' permutation and replay
-its open slots once for the labels, so the only checks they run are on
-their caller's input.
+first, in the same pass that reads the composition and the closers,
+and reads its Dyck word off the closers' child array.
+``andre_to_involution`` checks the parity of its level steps in the
+pass that reads the composition and leaves the rest to the cores.
+Neither builds a history or a labeled Dyck path.
 """
 from __future__ import annotations
 
@@ -383,8 +388,12 @@ def perm_to_history(sigma: Perm) -> LaguerreHistory:
     sigma = check_permutation(sigma)
     if not sigma:
         raise ValueError("need a permutation of size at least 1")
-    n = len(sigma) - 1
-    kids = _tree_kids(sigma)
+    steps, labels = _tree_history(_tree_kids(sigma), len(sigma) - 1)
+    return LaguerreHistory(tuple(steps), tuple(labels))
+
+
+def _tree_history(kids: list[int], n: int) -> tuple[list[str], list[int]]:
+    """The history steps and labels of vertices 1..n of a child array."""
     # the open slots in in-order, each named by the vertex that fills it
     slots = [kids[1]]
     steps: list[str] = []
@@ -405,7 +414,7 @@ def perm_to_history(sigma: Perm) -> LaguerreHistory:
             del slots[spot]
             steps.append("D")
         labels.append(spot + 1)
-    return LaguerreHistory(tuple(steps), tuple(labels))
+    return steps, labels
 
 
 def history_to_perm(lh: LaguerreHistory) -> Perm:
@@ -416,7 +425,11 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     >>> history_to_perm(LaguerreHistory(('L1',), (1,)))
     (2, 1)
     """
-    steps, labels = lh.steps, lh.labels
+    return _in_order(_history_tree(lh.steps, lh.labels))
+
+
+def _history_tree(steps, labels) -> list[int]:
+    """The child array of a history, checked as the insertions replay."""
     if len(steps) != len(labels):
         raise ValueError("one label per step required")
     n = len(steps)
@@ -442,7 +455,7 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     if len(slots) != 1:
         raise ValueError("history does not return to zero")
     kids[slots[0]] = n + 1  # the forced largest vertex
-    return _in_order(kids)
+    return kids
 
 
 def _in_order(kids: list[int]) -> Perm:
@@ -475,7 +488,12 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     >>> str(dyck_to_history(LabeledDyck("UUDUUDDDUD", (1, 2, 1, 1, 1))))
     "L',U,D,L'' (1,1,2,1)"
     """
-    word, downs = ldp.word, ldp.down_labels
+    steps, labels = _dyck_history(ldp.word, ldp.down_labels)
+    return LaguerreHistory(tuple(steps), tuple(labels))
+
+
+def _dyck_history(word: str, downs) -> tuple[list[str], list[int]]:
+    """The history steps and labels of a labeled Dyck path, checked as they are read."""
     if not word:
         raise ValueError("need half-length at least 1")
     if len(word) % 2 or word[0] != "U" or word[-1] != "D" or \
@@ -519,10 +537,12 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
             labels.append(lab)
         else:
             raise ValueError(f"bad step pair {a!r}, {b!r} in {word!r}")
+    if waiting:
+        raise ValueError(f"path does not return to zero: {word!r}")
     # the last D descends from height 1, so its bound is 1
-    if waiting or not isinstance(downs[-1], int) or downs[-1] != 1:
-        raise ValueError(f"not a labeled Dyck path: {word!r}, {downs!r}")
-    return LaguerreHistory(tuple(steps), tuple(labels))
+    if not isinstance(downs[-1], int) or downs[-1] != 1:
+        raise ValueError(f"down label {downs[-1]!r} out of range 1..1 in {word!r}")
+    return steps, labels
 
 
 _PAIR = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
@@ -535,7 +555,13 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     >>> history_to_dyck(LaguerreHistory((), ())).word
     'UD'
     """
-    steps, labels = lh.steps, lh.labels
+    downs = _history_downs(lh.steps, lh.labels)
+    word = "U" + "".join(map(_PAIR.__getitem__, lh.steps)) + "D"
+    return LabeledDyck(word, tuple(downs))
+
+
+def _history_downs(steps, labels) -> list[int]:
+    """The down labels of a history's Dyck path, checked as the steps are read."""
     if len(steps) != len(labels):
         raise ValueError("one label per step required")
     downs: list[int] = []
@@ -557,8 +583,7 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     if waiting:
         raise ValueError("history does not return to zero")
     downs.append(1)
-    word = "U" + "".join(map(_PAIR.__getitem__, steps)) + "D"
-    return LabeledDyck(word, tuple(downs))
+    return downs
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +604,22 @@ def strip_level_steps(ap: AndrePath) -> tuple[tuple[int, ...], LabeledDyck]:
 
 
 def _level_blocks(word: str) -> tuple[list[int], str]:
-    """The level-block sizes and the Dyck word of a checked André path."""
+    """
+    The level-block sizes and the Dyck word of an André path.  Only the
+    level steps are checked here; the Dyck word is checked by its reader.
+    """
     dyck = word.replace("L", "")
-    # check_andre makes the Dyck steps return to height 0, so there is an
-    # even number of them, and puts every L at even height, so an even
-    # number of them precedes each L
     comp = [0] * (len(dyck) // 2 + 1)
+    # an L sits at even height iff an even number of U and D steps
+    # precede it, and then it joins block seen // 2
     seen = 0
     for s in word:
-        if s == "L":
-            comp[seen // 2] += 1
-        else:
+        if s != "L":
             seen += 1
+        elif seen % 2:
+            raise ValueError(f"level step at odd height in {word!r}")
+        else:
+            comp[seen // 2] += 1
     return comp, dyck
 
 
@@ -669,7 +698,8 @@ def involution_to_andre(tau: Perm) -> AndrePath:
     The closers' values in position order form a permutation sigma of
     1..k, and the path is ``history_to_dyck(perm_to_history(sigma))``
     with ``comp[i]`` level steps after its 2i-th step.  Neither is
-    built: step j of that Dyck word is U iff child slot j + 1 of
+    built: the down labels come from the cores of both maps, and step j
+    of that Dyck word is U iff child slot j + 1 of
     ``_tree_kids(sigma)`` is filled, because the word is U, the
     (left, right) pair of each vertex 1..k-1, then D, that is the slots
     R(0) L(1) R(1) ... R(k-1) L(k) in order: the root fills R(0) and
@@ -702,25 +732,7 @@ def involution_to_andre(tau: Perm) -> AndrePath:
     if not k:
         return AndrePath("L" * n, ())
     kids = _tree_kids(sigma)
-    # replay the insertions of perm_to_history for the down labels of
-    # history_to_dyck: a U's label waits for the D that closes it
-    slots = [kids[1]]
-    downs: list[int] = []
-    waiting: list[int] = []
-    for v in range(1, k):
-        spot = slots.index(v)
-        left, right = kids[2 * v], kids[2 * v + 1]
-        if left and right:
-            slots[spot:spot + 1] = (left, right)
-            waiting.append(spot + 1)
-            continue
-        downs.append(spot + 1)
-        if left or right:
-            slots[spot] = left or right
-        else:
-            del slots[spot]
-            downs.append(waiting.pop())
-    downs.append(1)
+    downs = _history_downs(*_tree_history(kids, k - 1))
     word = ["L" * comp[0]]
     for i in range(k):
         word += "DU"[kids[2 * i + 1] > 0], "DU"[kids[2 * i + 2] > 0], "L" * comp[i + 1]
@@ -729,57 +741,32 @@ def involution_to_andre(tau: Perm) -> AndrePath:
 
 def andre_to_involution(ap: AndrePath) -> Perm:
     """
-    Inverse of :func:`involution_to_andre`: read the Dyck word's step
-    pairs as history steps, replay the insertions into a child array and
-    read it in in-order.
+    Inverse of :func:`involution_to_andre`: strip the level steps, then
+    run the cores of ``dyck_to_history`` and ``history_to_perm`` on the
+    Dyck word, that is, read its step pairs as history steps, replay the
+    insertions into a child array and read it in in-order.  The input is
+    checked on the way: the level steps' heights as the composition is
+    read, the rest inside the cores' loops.
 
     >>> andre_to_involution(AndrePath("UD", (1,)))
     (2, 1)
     """
-    word, downs = check_andre(ap).word, ap.down_labels
+    word, downs = ap.word, ap.down_labels
     comp, dyck = _level_blocks(word)
-    k = len(dyck) // 2
-    # the history labels, as dyck_to_history transports them: a D pair
-    # gives its second label to the U pair it closes
-    pairs = list(zip(dyck[1:-1:2], dyck[2:-1:2]))
-    labels = [0] * k
-    waiting: list[int] = []
-    j = 0
-    for v, (a, b) in enumerate(pairs, 1):
-        if a == b == "U":
-            waiting.append(v)
-            continue
-        labels[v] = downs[j]
-        j += 1
-        if a == b:
-            labels[waiting.pop()] = downs[j]
-            j += 1
-    # replay the insertions as history_to_perm does; a U step of the
-    # pair says that side of the vertex gets a child
-    kids = [0] * (2 * k + 2)
-    slots = [1]
-    for v, (a, b) in enumerate(pairs, 1):
-        spot = labels[v] - 1
-        kids[slots[spot]] = v
-        if a == b == "U":
-            slots[spot:spot + 1] = (2 * v, 2 * v + 1)
-        elif a == "U":
-            slots[spot] = 2 * v
-        elif b == "U":
-            slots[spot] = 2 * v + 1
-        else:
-            del slots[spot]
-    kids[slots[0]] = k  # the forced largest vertex
+    if not dyck:
+        if downs:
+            raise ValueError("one label per down step required")
+        return tuple(range(1, len(word) + 1))
     # the matching's lower-right block: the opener of the j-th closer
     # is sigma[j]
-    sigma = _in_order(kids)
-    # closers sit after the k openers, y_0 fixed points, closer, y_1
-    # fixed points, closer, ...; every other position is a fixed point
+    sigma = _in_order(_history_tree(*_dyck_history(dyck, downs)))
+    # closers sit after the len(sigma) openers, y_0 fixed points,
+    # closer, y_1 fixed points, closer, ...; every other position is a
+    # fixed point
     out = list(range(1, len(word) + 1))
-    pos = k
-    for j in range(k):
+    pos = len(sigma)
+    for j, opener in enumerate(sigma):
         pos += comp[j] + 1
-        opener = sigma[j]
         out[pos - 1] = opener
         out[opener - 1] = pos
     return tuple(out)

@@ -146,11 +146,7 @@ def cmd_bijection(args) -> int:
                   "cannot be combined with --omega", file=sys.stderr)
             return 2
         tau = parse_perm(args.omega)
-        try:
-            ap = involution_to_andre(tau)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        ap = involution_to_andre(tau)
         print(f"{format_perm(tau)} -> {ap}")
         return 0
     word = args.omega_inv
@@ -160,11 +156,7 @@ def cmd_bijection(args) -> int:
         return 2
     labels = tuple(map(int, fields))
     ap = AndrePath(word, labels)
-    try:
-        tau = andre_to_involution(ap)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tau = andre_to_involution(ap)
     print(f"{ap} -> {format_perm(tau)}")
     return 0
 

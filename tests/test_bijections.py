@@ -305,14 +305,17 @@ def test_composites_match_oracle_chain():
         for tau in generate_involutions(n):
             assert _outcome(involution_to_andre, tau) == \
                 _outcome(oracle_involution_to_andre, tau), tau
-    for length in range(0, 7):
-        for word in map("".join, product("UDLX", repeat=length)):
-            d = word.count("D")
-            for size in range(max(d - 1, 0), d + 2):
-                for labels in product(range(4), repeat=size):
-                    ap = AndrePath(word, labels)
-                    assert _outcome(andre_to_involution, ap) == \
-                        _outcome(oracle_andre_to_involution, ap), ap
+    # andre_to_involution checks its input only inside its loops; seven
+    # junk labels to length 6 would be about 9 million cases
+    for longest, label_set in ((6, range(4)), (4, _JUNK_LABELS)):
+        for length in range(0, longest + 1):
+            for word in map("".join, product("UDLX", repeat=length)):
+                d = word.count("D")
+                for size in range(max(d - 1, 0), d + 2):
+                    for labels in product(label_set, repeat=size):
+                        ap = AndrePath(word, labels)
+                        assert _outcome(andre_to_involution, ap) == \
+                            _outcome(oracle_andre_to_involution, ap), ap
     for n in range(0, 13):
         for ap in iter_andre_paths(n):
             tau = andre_to_involution(ap)
