@@ -63,11 +63,11 @@ Neither builds a history or a labeled Dyck path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
-from .core import (Perm, check_fpf, check_involution, check_permutation,
-                   check_size, fixed_points, inverse, lr_minima, skew_sum,
-                   standardize, two_cycles)
+from .core import (Perm, check_fpf, check_involution, check_permutation, check_size,
+                   fixed_points)
 
 # ---------------------------------------------------------------------------
 # path types
@@ -297,9 +297,16 @@ def iter_laguerre_histories(n: int) -> Iterator[LaguerreHistory]:
 
 
 def _has_independent_pair(tau: Perm) -> bool:
-    # some cycle has a whole cycle to its left iff not every cycle is a
-    # left-to-right minimum; an involution with t 2-cycles has n - t cycles
-    return len(lr_minima(tau)[0]) < len(tau) - len(two_cycles(tau))
+    # some cycle has a whole cycle to its left iff, taking the cycles by
+    # opener, one opens right of a closer already seen; tau is not checked
+    least_closer = len(tau) + 1
+    for i, v in enumerate(tau, 1):
+        if i <= v:
+            if i > least_closer:
+                return True
+            if v < least_closer:
+                least_closer = v
+    return False
 
 
 def skew_half(tau: Perm) -> Perm:
@@ -327,8 +334,12 @@ def from_skew_half(sigma: Perm, odd: bool) -> Perm:
     >>> from_skew_half((2, 1), False)
     (4, 3, 2, 1)
     """
-    top = inverse(sigma)
-    return skew_sum(skew_sum(top, (1,)), sigma) if odd else skew_sum(top, sigma)
+    sigma = check_permutation(sigma)
+    k = len(sigma)
+    top = [0] * k   # sigma^-1, shifted above the rest
+    for i, v in enumerate(sigma, 1):
+        top[v - 1] = i + k + bool(odd)
+    return (*top, *((k + 1,) if odd else ()), *sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +499,19 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     >>> str(dyck_to_history(LabeledDyck("UUDUUDDDUD", (1, 2, 1, 1, 1))))
     "L',U,D,L'' (1,1,2,1)"
     """
-    steps, labels = _dyck_history(ldp.word, ldp.down_labels)
+    steps, labels = _dyck_history(ldp.word, ldp.down_labels, ldp.word)
     return LaguerreHistory(tuple(steps), tuple(labels))
 
 
-def _dyck_history(word: str, downs) -> tuple[list[str], list[int]]:
-    """The history steps and labels of a labeled Dyck path, checked as they are read."""
-    if not word:
+def _dyck_history(dyck: str, downs, word: str) -> tuple[list[str], list[int]]:
+    """
+    The history steps and labels of a labeled Dyck word, checked as they
+    are read; errors name ``word``, the path the word was taken from.
+    """
+    if not dyck:
         raise ValueError("need half-length at least 1")
-    if len(word) % 2 or word[0] != "U" or word[-1] != "D" or \
-            word.count("D") != len(downs):
+    if len(dyck) % 2 or dyck[0] != "U" or dyck[-1] != "D" or \
+            dyck.count("D") != len(downs):
         raise ValueError(f"not a labeled Dyck path: {word!r}, {downs!r}")
     steps: list[str] = []
     labels: list[int] = []
@@ -506,7 +520,7 @@ def _dyck_history(word: str, downs) -> tuple[list[str], list[int]]:
     waiting: list[int] = []
     k = 0  # next down label; the count check keeps every read in range
     # reading the pair as two one-letter steps builds no string per pair
-    for a, b in zip(word[1:-1:2], word[2:-1:2]):
+    for a, b in zip(dyck[1:-1:2], dyck[2:-1:2]):
         if a == b == "U":
             waiting.append(len(labels))
             steps.append("U")
@@ -654,9 +668,10 @@ def remove_fixed_points(tau: Perm) -> tuple[Perm, tuple[int, ...]]:
     ((2, 1, 4, 3), (3,))
     """
     tau = check_involution(tau)
-    fixes = fixed_points(tau)
-    rho = standardize(tuple(v for i, v in enumerate(tau) if v != i + 1))
-    return rho, tuple(fixes)
+    # tau permutes its moved positions; place[p] counts those up to p,
+    # so it is p's place among them
+    place = list(accumulate((v != p for p, v in enumerate(tau, 1)), initial=0))
+    return tuple(place[v] for p, v in enumerate(tau, 1) if v != p), tuple(fixed_points(tau))
 
 
 def insert_fixed_points(rho: Perm, positions: tuple[int, ...]) -> Perm:
@@ -746,7 +761,8 @@ def andre_to_involution(ap: AndrePath) -> Perm:
     Dyck word, that is, read its step pairs as history steps, replay the
     insertions into a child array and read it in in-order.  The input is
     checked on the way: the level steps' heights as the composition is
-    read, the rest inside the cores' loops.
+    read, the rest inside the cores' loops.  Every error names the path
+    as given, level steps and all.
 
     >>> andre_to_involution(AndrePath("UD", (1,)))
     (2, 1)
@@ -755,11 +771,11 @@ def andre_to_involution(ap: AndrePath) -> Perm:
     comp, dyck = _level_blocks(word)
     if not dyck:
         if downs:
-            raise ValueError("one label per down step required")
+            raise ValueError(f"one label per down step required: {word!r}, {downs!r}")
         return tuple(range(1, len(word) + 1))
     # the matching's lower-right block: the opener of the j-th closer
     # is sigma[j]
-    sigma = _in_order(_history_tree(*_dyck_history(dyck, downs)))
+    sigma = _in_order(_history_tree(*_dyck_history(dyck, downs, word)))
     # closers sit after the len(sigma) openers, y_0 fixed points,
     # closer, y_1 fixed points, closer, ...; every other position is a
     # fixed point

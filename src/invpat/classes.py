@@ -305,7 +305,7 @@ def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> Ba
     if pi.mode is not Mode.CLASSICAL:
         raise ValueError("compute_basis expects a classical pattern set")
     if not pi.patterns:
-        raise ValueError("empty pattern set has an empty basis at every bound")
+        raise ValueError("a basis needs at least one pattern: the empty set's is empty")
     max_pat = pi.max_size()
     if bound is None:
         bound = 2 * max_pat

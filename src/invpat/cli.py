@@ -14,11 +14,15 @@ Subcommands:
   fixed-point factorization, three-term recurrence, continued fraction).
 
 Everything is exhaustive and deterministic; exit status 0 iff all
-requested checks pass, and 2 on bad arguments such as a ``--to`` below
-1 (below 2 for ``count --mode F`` and for part 2 of
-``verify-mcgovern``).  On ``count`` and ``basis``, ``--format rows``
-prints tab-separated rows with a header instead of aligned text; the
-other subcommands have no ``--format``.
+requested checks pass.  argparse rejects an unknown option or a
+``--to`` below 1 with its usage message and exit status 2.  Every other
+usage error, such as a ``--to`` below 2 for ``count --mode F`` or for
+part 2 of ``verify-mcgovern``, or a pattern set with no closed form for
+``count --formula``, prints one ``error: ...`` line on stderr and exits
+2: the subcommands raise ``ValueError`` and :func:`main` alone reports
+it.  On ``count`` and ``basis``, ``--format rows`` prints tab-separated
+rows with a header instead of aligned text; the other subcommands have
+no ``--format``.
 """
 from __future__ import annotations
 
@@ -28,20 +32,20 @@ import sys
 from .classes import PatternSet, compute_basis
 from .containment import Mode
 from .core import format_perm, parse_perm
-from .enumeration import (FORMULAS, count_table, check_corollary_stanley,
-                          check_fixed_point_identity, check_recurrence_132,
-                          d_series, egf_identity_report,
-                          format_count_comparison, formula_pattern132,
-                          involution_count, matching_count)
+from .enumeration import (check_corollary_stanley, check_fixed_point_identity,
+                          check_recurrence_132, closed_form, count_table, d_series,
+                          egf_identity_report, format_count_comparison,
+                          formula_pattern132)
+
+
+def _pattern_list(text: str | None) -> list:
+    """The patterns of a whitespace-separated list; None and "" give none."""
+    return [parse_perm(chunk) for chunk in (text or "").split()]
 
 
 def _read_patterns(args) -> list:
-    pats = []
-    if args.patterns is not None:
-        for chunk in args.patterns.split():
-            if chunk:
-                pats.append(parse_perm(chunk))
-    if getattr(args, "patterns_file", None):
+    pats = _pattern_list(args.patterns)
+    if args.patterns_file:
         try:
             with open(args.patterns_file) as fh:
                 lines = fh.readlines()
@@ -57,58 +61,34 @@ def _read_patterns(args) -> list:
 def cmd_count(args) -> int:
     mode = Mode.parse(args.mode)
     if mode is Mode.F and args.to < 2:
-        print(f"--mode F counts matchings, which have even sizes: --to must be "
-              f"at least 2, got {args.to}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--mode F counts matchings, which have even sizes: --to must "
+                         f"be at least 2, got {args.to}")
     if args.formula and args.refine_fixed_points:
-        print("--formula compares totals: it cannot be combined with "
-              "--refine-fixed-points", file=sys.stderr)
-        return 2
-    pats = _read_patterns(args)
-    ps = PatternSet(pats, mode)
+        raise ValueError("--formula compares totals: it cannot be combined with "
+                         "--refine-fixed-points")
+    ps = PatternSet(_read_patterns(args), mode)
+    closed = closed_form(ps) if args.formula else None
     ambient = Mode.F if mode is Mode.F else Mode.I
     table = count_table(ps, ambient, args.to, args.refine_fixed_points)
-    if args.formula:
-        if not ps.patterns and mode is not Mode.F:
-            closed = involution_count
-            name = "involution numbers"
-        elif not ps.patterns:
-            closed = matching_count
-            name = "double factorials"
-        else:
-            key = (*ps.patterns, mode) if len(ps.patterns) == 1 else None
-            if key not in FORMULAS:
-                print(f"no closed form on file for {ps}", file=sys.stderr)
-                return 2
-            name, closed = FORMULAS[key]
-        rows = []
-        for n, c in sorted(table.counts.items()):
-            want = closed(n)
-            rows.append((n, c, want, c == want))
-        if args.format == "rows":
-            print("\n".join(["n\texhaustive\tformula\tmatch"]
-                            + [f"{n}\t{c}\t{want}\t{'yes' if ok else 'NO'}"
-                               for n, c, want, ok in rows]))
-        else:
-            print(format_count_comparison(rows, "exhaustive", "formula"))
-        return 0 if all(ok for *_, ok in rows) else 1
+    if closed is None:
+        print("\n".join(table.to_rows()) if args.format == "rows" else table.to_text())
+        return 0
+    rows = []
+    for n, c in sorted(table.counts.items()):
+        want = closed(n)
+        rows.append((n, c, want, c == want))
     if args.format == "rows":
-        print("\n".join(table.to_rows()))
+        print("\n".join(["n\texhaustive\tformula\tmatch"]
+                        + [f"{n}\t{c}\t{want}\t{'yes' if ok else 'NO'}"
+                           for n, c, want, ok in rows]))
     else:
-        print(table.to_text())
-    return 0
+        print(format_count_comparison(rows, "exhaustive", "formula"))
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 def cmd_basis(args) -> int:
     ambient = Mode.parse(args.ambient)
-    if ambient is Mode.CLASSICAL:
-        print("ambient must be I, Iprime or F", file=sys.stderr)
-        return 2
-    pats = _read_patterns(args)
-    if not pats:
-        print("basis needs at least one pattern", file=sys.stderr)
-        return 2
-    ps = PatternSet(pats, Mode.CLASSICAL)
+    ps = PatternSet(_read_patterns(args), Mode.CLASSICAL)
     report = compute_basis(ps, ambient, args.bound)
     print("\n".join(report.to_rows()) if args.format == "rows" else report.to_text())
     return 0
@@ -118,12 +98,12 @@ def cmd_verify_mcgovern(args) -> int:
     from .mcgovern import verify_part1, verify_part2
 
     if args.part != 1 and args.to < 2:
-        print(f"part 2 sweeps matchings, which have even sizes: --to must be "
-              f"at least 2, got {args.to}", file=sys.stderr)
-        return 2
+        raise ValueError(f"part 2 sweeps matchings, which have even sizes: --to must "
+                         f"be at least 2, got {args.to}")
     progress = None
     if args.progress:
-        def progress(part, row, members, took, elapsed):
+        def progress(part, row, took, elapsed):
+            members = row.classical_avoiders
             rate = members / took if took > 0 else float("inf")
             print(f"  part={part} n={row.n} members={members} "
                   f"elapsed={elapsed:.2f}s rate={rate:.0f} members/s", file=sys.stderr)
@@ -142,63 +122,49 @@ def cmd_bijection(args) -> int:
 
     if args.omega is not None:
         if args.labels is not None:
-            print("--labels labels the down steps of an --omega-inv path: it "
-                  "cannot be combined with --omega", file=sys.stderr)
-            return 2
+            raise ValueError("--labels labels the down steps of an --omega-inv path: "
+                             "it cannot be combined with --omega")
         tau = parse_perm(args.omega)
-        ap = involution_to_andre(tau)
-        print(f"{format_perm(tau)} -> {ap}")
+        print(f"{format_perm(tau)} -> {involution_to_andre(tau)}")
         return 0
-    word = args.omega_inv
     fields = args.labels.split(",") if args.labels else []
     if "" in fields:
-        print(f"error: empty field in --labels {args.labels!r}", file=sys.stderr)
-        return 2
-    labels = tuple(map(int, fields))
-    ap = AndrePath(word, labels)
-    tau = andre_to_involution(ap)
-    print(f"{ap} -> {format_perm(tau)}")
+        raise ValueError(f"empty field in --labels {args.labels!r}")
+    ap = AndrePath(args.omega_inv, tuple(map(int, fields)))
+    print(f"{ap} -> {format_perm(andre_to_involution(ap))}")
     return 0
 
 
 def cmd_identities(args) -> int:
-    ran = failed = 0
+    if not (args.stanley or args.recurrence or args.dseries) and \
+            args.fixed_points is None and args.egf is None:
+        raise ValueError("pick at least one identity to check")
+    failed = 0
     if args.stanley:
-        ran += 1
         ok = check_corollary_stanley(args.m, args.to)
         print(f"block-pattern symmetry at m={args.m} to n={args.to}: "
               f"{'equal' if ok else 'UNEQUAL'}")
         failed += not ok
     if args.fixed_points is not None:
-        ran += 1
-        pats = [parse_perm(c) for c in args.fixed_points.split()] if args.fixed_points else []
-        ps = PatternSet(pats, Mode.F)
+        ps = PatternSet(_pattern_list(args.fixed_points), Mode.F)
         ok = check_fixed_point_identity(ps, args.to)
         print(f"fixed-point factorization for {ps} to n={args.to}: "
               f"{'holds' if ok else 'FAILS'}")
         failed += not ok
     if args.egf is not None:
-        ran += 1
-        pats = [parse_perm(c) for c in args.egf.split()] if args.egf else []
-        rows = egf_identity_report(PatternSet(pats, Mode.F), args.to)
+        rows = egf_identity_report(PatternSet(_pattern_list(args.egf), Mode.F), args.to)
         print(format_count_comparison(rows, "involution", "e^x convolution"))
-        ok = all(r[3] for r in rows)
-        failed += not ok
+        failed += not all(r[3] for r in rows)
     if args.recurrence:
-        ran += 1
         ok = check_recurrence_132(args.to)
         print(f"three-term recurrence to n={args.to}: {'holds' if ok else 'FAILS'}")
         failed += not ok
     if args.dseries:
-        ran += 1
         ds = d_series(1, -1, args.to + 1)
         ok = all(ds[n](1) == formula_pattern132(n) for n in range(1, args.to + 1))
         print(f"continued-fraction series matches 132 counts to n={args.to}: "
               f"{'yes' if ok else 'NO'}")
         failed += not ok
-    if not ran:
-        print("pick at least one identity to check", file=sys.stderr)
-        return 2
     return 1 if failed else 0
 
 

@@ -13,14 +13,16 @@ count is the ambient count, not a tally, and the engine is not run at
 all when no size asked for reaches the smallest pattern.  For the empty
 set that is every size, so ``invpat count --formula`` on it checks its
 closed form against that ambient count, not a tally.  ``FORMULAS``
-names the closed forms on file by (pattern, order); ``invpat count
---formula`` reads it.
+names the closed forms on file by (pattern, order); :func:`closed_form`
+picks a pattern set's or raises ``ValueError``, and ``invpat count
+--formula`` asks it before counting anything.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
+from typing import Callable
 
 # class_members stays importable here: bench/tracing.py wraps it by name
 from .classes import PatternSet, _checked_floor, avoider_levels, class_members  # noqa: F401
@@ -290,6 +292,20 @@ FORMULAS = {
     ((2, 1, 4, 3), Mode.F): ("permutational matchings", _half_factorial),
     ((1, 2), Mode.I): ("half factorial", _half_factorial),
 }
+
+
+def closed_form(ps: PatternSet) -> Callable[[int], int]:
+    """
+    The closed form on file for the avoider counts of ps, as a function
+    of n: the ambient count for the empty set, else the ``FORMULAS``
+    entry of its one pattern.
+    """
+    if not ps.patterns:
+        return matching_count if ps.mode is Mode.F else involution_count
+    key = (*ps.patterns, ps.mode)
+    if key not in FORMULAS:
+        raise ValueError(f"no closed form on file for {ps}")
+    return FORMULAS[key][1]
 
 
 def check_recurrence_132(n_max: int) -> bool:

@@ -165,7 +165,7 @@ def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
         report.rows[n] = row
         if progress:
             now = time.perf_counter()
-            progress(part, row, visited, now - tick, now - start)
+            progress(part, row, now - tick, now - start)
             tick = now
         if missed:
             break
@@ -206,8 +206,9 @@ def verify_part1(max_size: int, progress=None) -> SweepReport:
     size <= max_size (at least 1), and for every size once max_size >= 16.
 
     ``progress``, if given, is called after each size as
-    ``progress(part, row, members, size_s, elapsed_s)``: the number of
-    avoiders grown, the seconds this size took and since the start.
+    ``progress(part, row, size_s, elapsed_s)``: the size's row (its
+    members grown are its ``classical_avoiders``), then the seconds this
+    size took and since the start.
 
     >>> verify_part1(6).equal
     True

@@ -1,7 +1,8 @@
 import pytest
 
-from invpat.cli import FORMULAS, main
+from invpat.cli import main
 from invpat.containment import Mode
+from invpat.enumeration import FORMULAS
 
 
 def run(capsys, *argv):
@@ -204,6 +205,23 @@ def test_usage_errors(capsys, argv):
     assert out.out == "" and "error" in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--patterns", "", "--mode", "F", "--to", "1"],
+    ["count", "--patterns", "321", "--to", "5", "--formula", "--refine-fixed-points"],
+    ["count", "--patterns", "3412", "--to", "5", "--formula"],
+    ["basis", "--patterns", "", "--ambient", "I"],
+    ["basis", "--patterns", "321", "--ambient", "classical"],
+    ["verify-mcgovern", "--part", "0", "--to", "1"],
+    ["bijection", "--omega", "21", "--labels", "1"],
+    ["bijection", "--omega-inv", "UDUD", "--labels", "1,,1"],
+    ["identities"],
+])
+def test_usage_errors_leave_through_main(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_bijection_round_trip(capsys):
     status, out, _ = run(capsys, "bijection", "--omega", "21")
     assert status == 0 and "UD (1)" in out
@@ -236,6 +254,14 @@ def test_bijection_errors(capsys):
     status, _, err = run(capsys, "bijection", "--omega-inv", "ULD",
                          "--labels", "1")
     assert status == 2
+    # the errors name the path as given, not the Dyck word left once
+    # its level steps are stripped
+    status, _, err = run(capsys, "bijection", "--omega-inv", "LLUD",
+                         "--labels", "1,1")
+    assert status == 2 and "'LLUD'" in err and "'UD'" not in err
+    status, _, err = run(capsys, "bijection", "--omega-inv", "LUDL",
+                         "--labels", "2")
+    assert status == 2 and "out of range 1..1 in 'LUDL'" in err
 
 
 @pytest.mark.parametrize("labels", ["1,,1", ",1,1,", ",", "1,1,"])
