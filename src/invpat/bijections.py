@@ -19,6 +19,11 @@ Label-bound conventions are frozen by the exhaustive bijectivity and
 round-trip tests: down-step bounds use the height the step descends
 from, history bounds use the height the step starts at, plus one.
 
+Every labeled family is generated from the one Motzkin walk,
+:func:`iter_motzkin_words`, times a product of per-step choices: a
+label per down step for labeled Dyck paths and André paths, a flavor
+per level step and a label per step for Laguerre histories.
+
 The maps:
 
 - ``skew_half``: involutions with no independent cycle pair are skew
@@ -63,7 +68,7 @@ Neither builds a history or a labeled Dyck path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterator
 
 from .core import (Perm, check_fpf, check_involution, check_permutation, check_size,
@@ -134,15 +139,18 @@ def _check_labeled_path(word: str, down_labels, levels_allowed: bool) -> None:
         raise ValueError("one label per down step required")
 
 
+def _word_and_labels(path) -> str:
+    """The step word, or ``()`` when empty, then the down labels in parentheses."""
+    return f"{path.word or '()'} ({','.join(map(str, path.down_labels))})"
+
+
 @dataclass(frozen=True)
 class LabeledDyck:
     """Dyck word plus one label per down step, left to right."""
 
     word: str
     down_labels: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"{self.word or '()'} ({','.join(map(str, self.down_labels))})"
+    __str__ = _word_and_labels
 
     @property
     def half_length(self) -> int:
@@ -160,9 +168,7 @@ class AndrePath:
 
     word: str
     down_labels: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"{self.word or '()'} ({','.join(map(str, self.down_labels))})"
+    __str__ = _word_and_labels
 
 
 def check_andre(ap: AndrePath) -> AndrePath:
@@ -242,8 +248,6 @@ def iter_dyck_words(half: int) -> Iterator[str]:
 
 
 def _label_choices(word: str) -> Iterator[tuple[int, ...]]:
-    from itertools import product
-
     ranges = []
     h = 0
     for s in word:
@@ -268,28 +272,23 @@ def iter_andre_paths(n: int) -> Iterator[AndrePath]:
 
 
 def iter_laguerre_histories(n: int) -> Iterator[LaguerreHistory]:
-    check_size(n)
-    steps: list[str] = []
-    labels: list[int] = []
+    """
+    Every Laguerre history of length n, (n + 1)! of them: the Motzkin
+    words in the order of :func:`iter_motzkin_words`, each L read as L1
+    or L2, and every step at start height h labeled 1..h+1.  Within one
+    word the flavors of its level steps vary slower than the labels, and
+    each product runs in lexicographic order, L1 before L2.
 
-    def rec(h: int, left: int) -> Iterator[LaguerreHistory]:
-        if left == 0:
-            if h == 0:
-                yield LaguerreHistory(tuple(steps), tuple(labels))
-            return
-        if h > left:
-            return
-        for s in ("D", "L1", "L2", "U"):
-            if s == "D" and h == 0:
-                continue
-            for lab in range(1, h + 2):
-                steps.append(s)
-                labels.append(lab)
-                yield from rec(h + (s == "U") - (s == "D"), left - 1)
-                steps.pop()
-                labels.pop()
-
-    yield from rec(0, n)
+    >>> [str(lh) for lh in iter_laguerre_histories(1)]
+    ["L' (1)", "L'' (1)"]
+    """
+    for word in iter_motzkin_words(n):
+        flavors = [("L1", "L2") if s == "L" else (s,) for s in word]
+        # the height each step starts at bounds its label
+        ranges = [range(1, h + 2) for h in [0, *heights(word)][:n]]
+        for steps in product(*flavors):
+            for labels in product(*ranges):
+                yield LaguerreHistory(steps, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -537,20 +536,18 @@ def _dyck_history(dyck: str, downs, word: str) -> tuple[list[str], list[int]]:
             up = downs[k + 1]
             if not isinstance(up, int) or not 0 < up < bound:
                 raise ValueError(f"down label {up!r} out of range 1..{bound - 1} in {word!r}")
-            k += 2
+            k += 1
             steps.append("D")
-            labels.append(lab)
             labels[waiting.pop()] = up
         elif a == "U" and b == "D":
-            k += 1
             steps.append("L1")
-            labels.append(lab)
         elif a == "D" and b == "U":
-            k += 1
             steps.append("L2")
-            labels.append(lab)
         else:
             raise ValueError(f"bad step pair {a!r}, {b!r} in {word!r}")
+        # the pair's first D donates its label to the pair's own step
+        k += 1
+        labels.append(lab)
     if waiting:
         raise ValueError(f"path does not return to zero: {word!r}")
     # the last D descends from height 1, so its bound is 1
@@ -688,9 +685,7 @@ def insert_fixed_points(rho: Perm, positions: tuple[int, ...]) -> Perm:
             not all(isinstance(p, int) and 1 <= p <= n for p in positions):
         raise ValueError("fixed-point positions out of range or repeated")
     rest = [p for p in range(1, n + 1) if p not in spots]
-    out = [0] * n
-    for p in spots:
-        out[p - 1] = p
+    out = list(range(1, n + 1))  # fixed everywhere, until rho moves rest
     for i, v in enumerate(rho):
         out[rest[i] - 1] = rest[v - 1]
     return tuple(out)

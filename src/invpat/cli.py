@@ -127,10 +127,14 @@ def cmd_bijection(args) -> int:
         tau = parse_perm(args.omega)
         print(f"{format_perm(tau)} -> {involution_to_andre(tau)}")
         return 0
-    fields = args.labels.split(",") if args.labels else []
-    if "" in fields:
-        raise ValueError(f"empty field in --labels {args.labels!r}")
-    ap = AndrePath(args.omega_inv, tuple(map(int, fields)))
+    labels = []
+    for field in args.labels.split(",") if args.labels else []:
+        try:
+            labels.append(int(field))
+        except ValueError:
+            what = f"field {field!r} is not an integer" if field else "empty field"
+            raise ValueError(f"{what} in --labels {args.labels!r}") from None
+    ap = AndrePath(args.omega_inv, tuple(labels))
     print(f"{ap} -> {format_perm(andre_to_involution(ap))}")
     return 0
 
@@ -139,20 +143,22 @@ def cmd_identities(args) -> int:
     if not (args.stanley or args.recurrence or args.dseries) and \
             args.fixed_points is None and args.egf is None:
         raise ValueError("pick at least one identity to check")
+    # parse both pattern lists before any identity prints its line
+    fixed, egf = (None if text is None else PatternSet(_pattern_list(text), Mode.F)
+                  for text in (args.fixed_points, args.egf))
     failed = 0
     if args.stanley:
         ok = check_corollary_stanley(args.m, args.to)
         print(f"block-pattern symmetry at m={args.m} to n={args.to}: "
               f"{'equal' if ok else 'UNEQUAL'}")
         failed += not ok
-    if args.fixed_points is not None:
-        ps = PatternSet(_pattern_list(args.fixed_points), Mode.F)
-        ok = check_fixed_point_identity(ps, args.to)
-        print(f"fixed-point factorization for {ps} to n={args.to}: "
+    if fixed is not None:
+        ok = check_fixed_point_identity(fixed, args.to)
+        print(f"fixed-point factorization for {fixed} to n={args.to}: "
               f"{'holds' if ok else 'FAILS'}")
         failed += not ok
-    if args.egf is not None:
-        rows = egf_identity_report(PatternSet(_pattern_list(args.egf), Mode.F), args.to)
+    if egf is not None:
+        rows = egf_identity_report(egf, args.to)
         print(format_count_comparison(rows, "involution", "e^x convolution"))
         failed += not all(r[3] for r in rows)
     if args.recurrence:

@@ -481,6 +481,16 @@ def test_labeled_dyck_examples():
     assert history_to_dyck(lh) == ldp
 
 
+@pytest.mark.parametrize("path_type", [LabeledDyck, AndrePath])
+def test_labeled_path_str(path_type):
+    # the two path types print alike but stay apart
+    assert str(path_type("", ())) == "() ()"
+    assert str(path_type("UD", (1,))) == "UD (1)"
+    assert str(path_type("UUDUDD", (2, 1, 1))) == "UUDUDD (2,1,1)"
+    assert repr(path_type("UD", (1,))) == f"{path_type.__name__}(word='UD', down_labels=(1,))"
+    assert LabeledDyck("UD", (1,)) != AndrePath("UD", (1,))
+
+
 def test_labeled_dyck_bijectivity():
     for half in range(1, 6):
         paths = list(iter_labeled_dyck(half))

@@ -215,6 +215,9 @@ def test_usage_errors(capsys, argv):
     ["bijection", "--omega", "21", "--labels", "1"],
     ["bijection", "--omega-inv", "UDUD", "--labels", "1,,1"],
     ["identities"],
+    # a bad pattern list fails before any identity prints its line
+    ["identities", "--stanley", "--m", "3", "--to", "10", "--fixed-points", "zzz"],
+    ["identities", "--fixed-points", "2143", "--to", "6", "--egf", "zzz"],
 ])
 def test_usage_errors_leave_through_main(capsys, argv):
     status, out, err = run(capsys, *argv)
@@ -269,6 +272,14 @@ def test_bijection_rejects_empty_label_fields(capsys, labels):
     status, out, err = run(capsys, "bijection", "--omega-inv", "UDUD",
                            "--labels", labels)
     assert status == 2 and out == "" and "empty field" in err
+
+
+@pytest.mark.parametrize("labels, bad", [("x", "x"), ("1.5", "1.5"), ("1,x", "x"),
+                                         ("1.5,1", "1.5"), ("1, ", " ")])
+def test_bijection_names_a_label_that_is_not_an_integer(capsys, labels, bad):
+    status, out, err = run(capsys, "bijection", "--omega-inv", "UDUD", "--labels", labels)
+    assert status == 2 and out == ""
+    assert err == f"error: field {bad!r} is not an integer in --labels {labels!r}\n"
 
 
 def test_bijection_labels_need_a_path(capsys):
