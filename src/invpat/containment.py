@@ -217,10 +217,10 @@ def contains(tau: Perm, rho: Perm, mode: Mode) -> bool:
     >>> contains((3, 4, 1, 2), (1, 2), Mode.I)
     False
     """
+    if mode is Mode.CLASSICAL:
+        return contains_classical(tau, rho)
     tau = check_for_mode(tau, mode)
     rho = check_for_mode(rho, mode)
-    if mode is Mode.CLASSICAL:
-        return _search_classical(tau, _compile_classical(rho))
     return len(rho) <= len(tau) and rho in _reachable(tau, mode, len(rho))
 
 
@@ -319,10 +319,10 @@ def contains_fast(tau: Perm, rho: Perm, mode: Mode) -> bool:
     >>> contains_fast((6, 5, 8, 7, 2, 1, 4, 3), (2, 1, 4, 3), Mode.F)
     False
     """
+    if mode is Mode.CLASSICAL:
+        return contains_classical(tau, rho)
     tau = check_for_mode(tau, mode)
     rho = check_for_mode(rho, mode)
-    if mode is Mode.CLASSICAL:
-        return _search_classical(tau, _compile_classical(rho))
     return _embed(tau, _cycle_count(tau), _compile_pattern(rho), mode)
 
 

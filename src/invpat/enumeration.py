@@ -3,7 +3,10 @@ Exact counting: brute-force tallies, closed forms, and the two-variable
 continued-fraction series.
 
 Everything is plain Python integer arithmetic; the factorials and
-binomials in play overflow 64 bits well inside the tested ranges.
+binomials in play overflow 64 bits well inside the tested ranges.  The
+continued-fraction series is no exception: :func:`d_series` counts it
+as weighted Motzkin paths, one step at a time, so ``PolyT`` only holds
+and prints its coefficients.
 Counts of avoiders come from one pass of the level engine
 :func:`invpat.classes.avoider_levels`, which streams the top level
 instead of storing it, so each closed form can be compared against an
@@ -42,31 +45,6 @@ class PolyT:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def const(cls, c: int) -> "PolyT":
-        return cls((c,))
-
-    @classmethod
-    def t_power(cls, k: int, c: int = 1) -> "PolyT":
-        return cls((0,) * k + (c,))
-
-    def __add__(self, other: "PolyT") -> "PolyT":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return PolyT(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
-
-    def __mul__(self, other: "PolyT") -> "PolyT":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return PolyT()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return PolyT(tuple(out))
-
     def __call__(self, t: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -88,10 +66,6 @@ class PolyT:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-ZERO = PolyT()
-ONE = PolyT.const(1)
-
-
 # ---------------------------------------------------------------------------
 # brute-force tallies
 
@@ -105,18 +79,21 @@ class CountTable:
     counts: dict[int, int]
     refined: dict[tuple[int, int], int] | None = None
 
+    def _refined_rows(self) -> list[tuple[tuple[int, int], int]]:
+        """The refined counts in order, a size with no avoiders as one 0 at fixed = n mod 2."""
+        empty = {(n, n % 2): 0 for n, c in self.counts.items() if c == 0}
+        return sorted({**self.refined, **empty}.items())
+
     def to_rows(self) -> list[str]:
         if self.refined is None:
             return ["n\tcount"] + [f"{n}\t{self.counts[n]}" for n in sorted(self.counts)]
-        return ["n\tfixed\tcount"] + [f"{n}\t{m}\t{c}"
-                                      for (n, m), c in sorted(self.refined.items())]
+        return ["n\tfixed\tcount"] + [f"{n}\t{m}\t{c}" for (n, m), c in self._refined_rows()]
 
     def to_text(self) -> str:
         if self.refined is None:
             rows = [(f"n={n:<3d}", c) for n, c in sorted(self.counts.items())]
         else:
-            rows = [(f"n={n:<3d} fixed={m:<3d}", c)
-                    for (n, m), c in sorted(self.refined.items())]
+            rows = [(f"n={n:<3d} fixed={m:<3d}", c) for (n, m), c in self._refined_rows()]
         width = max((len(str(c)) for _, c in rows), default=1)
         return "\n".join([f"avoiders of {self.patterns} in {self.ambient.value} ambient"]
                          + [f"  {key} {c:>{width}d}" for key, c in rows])
@@ -349,18 +326,6 @@ def pq_binomial(n: int, k: int, p: int, q: int) -> int:
     return row[k]
 
 
-def _series_inverse(u: list[PolyT], order: int) -> list[PolyT]:
-    """Coefficients of 1/(1-u) given u with zero constant term."""
-    v = [ONE] + [ZERO] * order
-    for m in range(1, order + 1):
-        acc = ZERO
-        for i in range(1, m + 1):
-            if u[i].coeffs and v[m - i].coeffs:
-                acc = acc + u[i] * v[m - i]
-        v[m] = acc
-    return v
-
-
 def d_series(p: int, q: int, n_max: int) -> list[PolyT]:
     """
     The polynomials D_1..D_{n_max} in t from the continued fraction
@@ -368,27 +333,36 @@ def d_series(p: int, q: int, n_max: int) -> list[PolyT]:
         sum D_{n+1} x^n = 1/(1 - [1]x - C(2,2) t x^2/(1 - [2]x - ...))
 
     with (p,q)-brackets on the linear terms and (p,q)-binomials C(j+1,2)
-    on the x^2 numerators.  The fraction is truncated at depth n_max,
-    far deeper than the x-order requires.
+    on the x^2 numerators.  Read as Flajolet's path expansion
+    ("Combinatorial aspects of continued fractions", Discrete Math. 32,
+    1980), D_{n+1} sums the weights of the Motzkin paths of length n: a
+    level step at height h weighs [h+1], an up step 1, and a down step
+    from height h weighs C(h+1,2) t.  The paths are counted step by step
+    in a table of integers by height and by down steps so far, and a
+    height the remaining steps cannot bring back to 0 is dropped.
 
     >>> [str(d) for d in d_series(1, -1, 5)]
     ['1', '1', '1 + t', '1 + 2t', '1 + 3t + 2t^2']
     """
     if n_max < 1:
         raise ValueError("need at least one term")
-    order = n_max - 1
-    depth = n_max
-    level: list[PolyT] = [ONE] + [ZERO] * order
-    for j in range(depth, 0, -1):
-        bracket = pq_bracket(j, p, q)
-        weight = PolyT.t_power(1, pq_binomial(j + 1, 2, p, q))
-        u = [ZERO] * (order + 1)
-        if order >= 1:
-            u[1] = PolyT.const(bracket)
-        for m in range(2, order + 1):
-            u[m] = weight * level[m - 2]
-        level = _series_inverse(u, order)
-    return level
+    level = [pq_bracket(h + 1, p, q) for h in range(n_max)]
+    down = [pq_binomial(h + 1, 2, p, q) for h in range(n_max)]
+    width = (n_max + 1) // 2            # paths of length n_max - 1 have < width down steps
+    walks = [[1] + [0] * (width - 1)]   # walks[h][k]: paths so far at height h with k downs
+    out = [PolyT(walks[0])]
+    for left in range(n_max - 2, -1, -1):    # steps still to come after this one
+        nxt = [[0] * width for _ in range(len(walks) + 1)]
+        for h, row in enumerate(walks):
+            for k, c in enumerate(row):
+                if c:       # a path at height h > 0 has k < width - 1: its down step fits
+                    nxt[h][k] += level[h] * c
+                    nxt[h + 1][k] += c
+                    if h:
+                        nxt[h - 1][k + 1] += down[h] * c
+        walks = nxt[:left + 1]
+        out.append(PolyT(walks[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,21 @@ def test_count_refined_text(capsys):
          ["n=3", "fixed=1", "3"], ["n=3", "fixed=3", "1"]]
 
 
+@pytest.mark.parametrize("mode, to, rows, text", [
+    ("I", "3", ["1\t1\t0", "2\t0\t0", "3\t1\t0"],
+     [["n=1", "fixed=1", "0"], ["n=2", "fixed=0", "0"], ["n=3", "fixed=1", "0"]]),
+    ("F", "4", ["2\t0\t0", "4\t0\t0"], [["n=2", "fixed=0", "0"], ["n=4", "fixed=0", "0"]]),
+])
+def test_count_refined_prints_sizes_without_avoiders(capsys, mode, to, rows, text):
+    # like the unrefined table, every size gets a row: one 0 at fixed = n mod 2
+    pattern = "1" if mode == "I" else "21"
+    argv = ["count", "--patterns", pattern, "--mode", mode, "--to", to, "--refine-fixed-points"]
+    status, out, _ = run(capsys, *argv, "--format", "rows")
+    assert status == 0 and out.splitlines() == ["n\tfixed\tcount"] + rows
+    status, out, _ = run(capsys, *argv)
+    assert status == 0 and [line.split() for line in out.splitlines()[1:]] == text
+
+
 def test_count_formula_is_not_refined(capsys):
     # the closed forms are totals, so there is nothing to compare a
     # refined table with
