@@ -41,32 +41,36 @@ The maps:
   involutions to even-level paths; level steps count fixed points.
 
 Cost: each step of the chain has one loop, in one private core that
-its public map and one of the composites call.  ``_tree_history``
-replays the open slots of a child array into history steps and labels,
-``_history_tree`` replays a history back into a child array,
-``_history_downs`` carries a history's labels to the down steps of its
-Dyck path and ``_dyck_history`` carries them back.  Each map checks its
-input once and nothing it returns: what it builds from valid input is
-valid by construction.  The three cores that read a history or a
-labeled Dyck path check it inside their loop, at one comparison per
-label, since the open-slot list or the stack of waiting U steps already
-holds the height that bounds it; in the composites those comparisons
-also run on the steps passed from one core to the next.  The other maps
-call a validator first: the level-step maps the one both labeled path
-types share, the maps from permutations and involutions those of
-``core``.  Trees are built in linear time with one stack pass into a
-flat child array.  The open-slot list of the insertion history is kept
-as a Python list, whose C-level index and splice are the only steps
-that grow with the number of open slots.
+its public map and one of the composites call.  ``_perm_history`` and
+``_history_perm`` replay the insertions on the one-line word, with no
+tree: the open slots before vertex v are the maximal runs of values
+>= v, named by where each starts (a C-level ``bisect`` finds v's), or
+the segments of placed values between them (v is spliced into one).
+``_history_dyck`` carries a history's labels to the down steps of its
+Dyck path and ``_dyck_history`` carries them back; ``_with_levels``
+interleaves the level blocks.  Each map checks its input once and
+nothing it returns: what it builds from valid input is valid by
+construction.  The three cores that read a history or a labeled Dyck
+path check it inside their loop, at one comparison per label, since
+the slot list or the stack of waiting U steps already holds the height
+that bounds it; in the composites those comparisons also run on the
+steps passed from one core to the next.  The other maps call a
+validator first: the level-step maps the one both labeled path types
+share, the maps from permutations and involutions those of ``core``.
+The slot lists are Python lists, and their C-level search and splice,
+with the C-level search for v in the word, are the only steps that grow
+with the size.
 ``involution_to_andre`` rules out 132 by checking that the openers come
-first, in the same pass that reads the composition and the closers,
-and reads its Dyck word off the closers' child array.
+first, in the same pass that reads the composition and the closers.
 ``andre_to_involution`` checks the parity of its level steps in the
 pass that reads the composition and leaves the rest to the cores.
-Neither builds a history or a labeled Dyck path.
+Neither builds a history or a labeled Dyck path.  The path generators
+join each walked prefix to a table of tails, so a word costs one
+string concatenation.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import Iterator
@@ -216,31 +220,39 @@ def iter_motzkin_words(n: int, levels: str = "any") -> Iterator[str]:
 
     ``levels`` says where level steps may sit: ``"any"``, ``"even"`` (even
     heights only, the André paths) or ``"none"`` (Dyck words).
+
+    The last r = min(n, 8) steps come from a table, built once per call,
+    of the words of length r from each height back to 0.  Only the first
+    n - r steps are walked, depth first, and each prefix is joined to
+    every tail for its end height, so a word costs one concatenation.
     """
     check_size(n)
     if levels not in ("any", "even", "none"):
         raise ValueError(f"levels must be 'any', 'even' or 'none', got {levels!r}")
     steps = "DU" if levels == "none" else "DLU"
     even_only = levels == "even"
-    word: list[str] = []
-
-    def rec(h: int, left: int) -> Iterator[str]:
-        if left == 0:
-            if h == 0:
-                yield "".join(word)
-            return
-        if h > left:
-            return
-        for s in steps:
-            if s == "D" and h == 0:
-                continue
-            if s == "L" and even_only and h % 2:
-                continue
-            word.append(s)
-            yield from rec(h + (s == "U") - (s == "D"), left - 1)
-            word.pop()
-
-    yield from rec(0, n)
+    # the steps allowed at each height, in lexicographic order, with the
+    # height each leads to
+    moves = [[(s, h + (s == "U") - (s == "D")) for s in steps
+              if not (s == "D" and h == 0 or s == "L" and even_only and h % 2)]
+             for h in range(n + 1)]
+    r = min(n, 8)  # so the table holds at most 2,123 words
+    # the tails of length 0; the lists are never changed, so may be shared
+    tails = [[""]] + [[]] * r
+    for _ in range(r):
+        # a longer tail from h is a step from h, then a tail from there
+        tails = [[s + t for s, g in moves[h] if g <= r for t in tails[g]]
+                 for h in range(r + 1)]
+    stack = [("", 0)]
+    while stack:
+        prefix, h = stack.pop()
+        left = n - len(prefix)
+        if left == r:
+            yield from map(prefix.__add__, tails[h])
+        else:
+            # pushed in reverse, so popped in lexicographic order; a
+            # height above the steps left cannot come back to 0
+            stack += [(prefix + s, g) for s, g in reversed(moves[h]) if g < left]
 
 
 def iter_dyck_words(half: int) -> Iterator[str]:
@@ -390,6 +402,10 @@ def perm_to_history(sigma: Perm) -> LaguerreHistory:
     right = L2, none = D), the label says which open slot, counted from
     the left, it fills.  The largest vertex is forced and dropped.
 
+    The tree is never built: the open slots before vertex v are the
+    maximal runs of values >= v in sigma, and v's neighbours in sigma
+    say which children it has.
+
     >>> perm_to_history((2, 1))
     LaguerreHistory(steps=('L1',), labels=(1,))
     >>> str(perm_to_history((4, 5, 2, 3, 1)))
@@ -398,89 +414,73 @@ def perm_to_history(sigma: Perm) -> LaguerreHistory:
     sigma = check_permutation(sigma)
     if not sigma:
         raise ValueError("need a permutation of size at least 1")
-    steps, labels = _tree_history(_tree_kids(sigma), len(sigma) - 1)
-    return LaguerreHistory(tuple(steps), tuple(labels))
+    return LaguerreHistory(*_perm_history(sigma))
 
 
-def _tree_history(kids: list[int], n: int) -> tuple[list[str], list[int]]:
-    """The history steps and labels of vertices 1..n of a child array."""
-    # the open slots in in-order, each named by the vertex that fills it
-    slots = [kids[1]]
+def _perm_history(sigma: Perm) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The history steps and labels of vertices 1..n-1 of a permutation of 1..n."""
+    word = (0, *sigma, 0)
+    # the open slots in in-order, each named by the position where its
+    # run of values >= v starts; the run holding v is v's slot
+    starts = [1]
     steps: list[str] = []
     labels: list[int] = []
-    for v in range(1, n + 1):
-        spot = slots.index(v)
-        left, right = kids[2 * v], kids[2 * v + 1]
-        if left and right:
-            slots[spot:spot + 1] = (left, right)
-            steps.append("U")
-        elif left:
-            slots[spot] = left
-            steps.append("L1")
-        elif right:
-            slots[spot] = right
+    for v in range(1, len(sigma)):
+        p = word.index(v)
+        # v's run is the last to start at or before p, open slot lab, and
+        # a neighbour larger than v lies in it, so it is a child of v
+        lab = bisect(starts, p)
+        labels.append(lab)
+        if word[p - 1] > v:
+            if word[p + 1] > v:
+                starts.insert(lab, p + 1)
+                steps.append("U")
+            else:
+                steps.append("L1")
+        elif word[p + 1] > v:
+            starts[lab - 1] = p + 1
             steps.append("L2")
         else:
-            del slots[spot]
+            del starts[lab - 1]
             steps.append("D")
-        labels.append(spot + 1)
-    return steps, labels
+    return tuple(steps), tuple(labels)
 
 
 def history_to_perm(lh: LaguerreHistory) -> Perm:
     """
-    Inverse of :func:`perm_to_history`: replay the insertions, then read
-    the tree in in-order.
+    Inverse of :func:`perm_to_history`: replay the insertions on the
+    one-line word.
 
     >>> history_to_perm(LaguerreHistory(('L1',), (1,)))
     (2, 1)
     """
-    return _in_order(_history_tree(lh.steps, lh.labels))
+    return _history_perm(lh.steps, lh.labels)
 
 
-def _history_tree(steps, labels) -> list[int]:
-    """The child array of a history, checked as the insertions replay."""
+def _history_perm(steps, labels) -> Perm:
+    """The permutation of a history, checked as the insertions replay."""
     if len(steps) != len(labels):
         raise ValueError("one label per step required")
-    n = len(steps)
-    kids = [0] * (2 * n + 4)
-    # open slots in in-order: h + 1 of them at height h, so the label
-    # bound is their number, and a D at height 0 leaves none
-    slots = [1]
+    # the word so far as the segments between its open slots, slot i
+    # between segs[i - 1] and segs[i]: h + 1 slots at height h, so the
+    # label bound is their number, and a D at height 0 leaves none
+    segs: list[list[int]] = [[], []]
     for v, (step, lab) in enumerate(zip(steps, labels), 1):
-        if not isinstance(lab, int) or not 0 < lab <= len(slots):
-            raise ValueError(f"label {lab!r} out of range at height {len(slots) - 1}")
-        spot = lab - 1
-        kids[slots[spot]] = v
+        if not isinstance(lab, int) or not 0 < lab < len(segs):
+            raise ValueError(f"label {lab!r} out of range at height {len(segs) - 2}")
         if step == "U":
-            slots[spot:spot + 1] = (2 * v, 2 * v + 1)
+            segs.insert(lab, [v])
         elif step == "L1":
-            slots[spot] = 2 * v
+            segs[lab].insert(0, v)
         elif step == "L2":
-            slots[spot] = 2 * v + 1
-        elif step == "D" and len(slots) > 1:
-            del slots[spot]
+            segs[lab - 1].append(v)
+        elif step == "D" and len(segs) > 2:
+            segs[lab - 1] += [v, *segs.pop(lab)]
         else:
-            raise ValueError(f"bad history step {step!r} at height {len(slots) - 1}")
-    if len(slots) != 1:
+            raise ValueError(f"bad history step {step!r} at height {len(segs) - 2}")
+    if len(segs) != 2:
         raise ValueError("history does not return to zero")
-    kids[slots[0]] = n + 1  # the forced largest vertex
-    return kids
-
-
-def _in_order(kids: list[int]) -> Perm:
-    """The vertices of a child array laid out as in :func:`_tree_kids`, in in-order."""
-    out: list[int] = []
-    path: list[int] = []
-    v = kids[1]
-    while v or path:
-        while v:
-            path.append(v)
-            v = kids[2 * v]
-        v = path.pop()
-        out.append(v)
-        v = kids[2 * v + 1]
-    return tuple(out)
+    return (*segs[0], len(steps) + 1, *segs[1])  # the forced largest vertex
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +498,10 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     >>> str(dyck_to_history(LabeledDyck("UUDUUDDDUD", (1, 2, 1, 1, 1))))
     "L',U,D,L'' (1,1,2,1)"
     """
-    steps, labels = _dyck_history(ldp.word, ldp.down_labels, ldp.word)
-    return LaguerreHistory(tuple(steps), tuple(labels))
+    return LaguerreHistory(*_dyck_history(ldp.word, ldp.down_labels, ldp.word))
 
 
-def _dyck_history(dyck: str, downs, word: str) -> tuple[list[str], list[int]]:
+def _dyck_history(dyck: str, downs, word: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """
     The history steps and labels of a labeled Dyck word, checked as they
     are read; errors name ``word``, the path the word was taken from.
@@ -553,7 +552,7 @@ def _dyck_history(dyck: str, downs, word: str) -> tuple[list[str], list[int]]:
     # the last D descends from height 1, so its bound is 1
     if not isinstance(downs[-1], int) or downs[-1] != 1:
         raise ValueError(f"down label {downs[-1]!r} out of range 1..1 in {word!r}")
-    return steps, labels
+    return tuple(steps), tuple(labels)
 
 
 _PAIR = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
@@ -566,13 +565,11 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     >>> history_to_dyck(LaguerreHistory((), ())).word
     'UD'
     """
-    downs = _history_downs(lh.steps, lh.labels)
-    word = "U" + "".join(map(_PAIR.__getitem__, lh.steps)) + "D"
-    return LabeledDyck(word, tuple(downs))
+    return LabeledDyck(*_history_dyck(lh.steps, lh.labels))
 
 
-def _history_downs(steps, labels) -> list[int]:
-    """The down labels of a history's Dyck path, checked as the steps are read."""
+def _history_dyck(steps, labels) -> tuple[str, tuple[int, ...]]:
+    """The Dyck word and down labels of a history, checked as the steps are read."""
     if len(steps) != len(labels):
         raise ValueError("one label per step required")
     downs: list[int] = []
@@ -594,7 +591,7 @@ def _history_downs(steps, labels) -> list[int]:
     if waiting:
         raise ValueError("history does not return to zero")
     downs.append(1)
-    return downs
+    return "U" + "".join(map(_PAIR.__getitem__, steps)) + "D", tuple(downs)
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +642,21 @@ def insert_level_steps(comp: tuple[int, ...], ldp: LabeledDyck) -> AndrePath:
     k = check_labeled_dyck(ldp).half_length
     if len(comp) != k + 1 or not all(isinstance(y, int) and y >= 0 for y in comp):
         raise ValueError(f"composition must have {k + 1} nonnegative int parts")
-    out = ["L" * comp[0]]
-    for i in range(k):
-        out.append(ldp.word[2 * i:2 * i + 2])
-        out.append("L" * comp[i + 1])
-    return AndrePath("".join(out), ldp.down_labels)
+    return AndrePath(_with_levels(comp, ldp.word), ldp.down_labels)
+
+
+def _with_levels(comp, dyck: str) -> str:
+    """The Dyck word with comp[i] level steps after its 2i-th step (comp[0] before it)."""
+    out = []
+    cut = 0
+    # only the nonempty blocks cut the word, and most blocks are empty
+    for i, y in enumerate(comp):
+        if y:
+            out.append(dyck[cut:2 * i])
+            out.append("L" * y)
+            cut = 2 * i
+    out.append(dyck[cut:])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +714,9 @@ def involution_to_andre(tau: Perm) -> AndrePath:
 
     The closers' values in position order form a permutation sigma of
     1..k, and the path is ``history_to_dyck(perm_to_history(sigma))``
-    with ``comp[i]`` level steps after its 2i-th step.  Neither is
-    built: the down labels come from the cores of both maps, and step j
-    of that Dyck word is U iff child slot j + 1 of
-    ``_tree_kids(sigma)`` is filled, because the word is U, the
-    (left, right) pair of each vertex 1..k-1, then D, that is the slots
-    R(0) L(1) R(1) ... R(k-1) L(k) in order: the root fills R(0) and
-    the largest vertex k is a leaf.
+    with ``comp[i]`` level steps after its 2i-th step, as
+    ``insert_level_steps`` places them.  No history or labeled Dyck path
+    is built: the cores of the three maps pass their steps and labels on.
 
     >>> involution_to_andre((1, 2, 3)).word
     'LLL'
@@ -741,20 +744,16 @@ def involution_to_andre(tau: Perm) -> AndrePath:
             sigma.append(v)
     if not k:
         return AndrePath("L" * n, ())
-    kids = _tree_kids(sigma)
-    downs = _history_downs(*_tree_history(kids, k - 1))
-    word = ["L" * comp[0]]
-    for i in range(k):
-        word += "DU"[kids[2 * i + 1] > 0], "DU"[kids[2 * i + 2] > 0], "L" * comp[i + 1]
-    return AndrePath("".join(word), tuple(downs))
+    dyck, downs = _history_dyck(*_perm_history(sigma))
+    return AndrePath(_with_levels(comp, dyck), downs)
 
 
 def andre_to_involution(ap: AndrePath) -> Perm:
     """
     Inverse of :func:`involution_to_andre`: strip the level steps, then
     run the cores of ``dyck_to_history`` and ``history_to_perm`` on the
-    Dyck word, that is, read its step pairs as history steps, replay the
-    insertions into a child array and read it in in-order.  The input is
+    Dyck word, that is, read its step pairs as history steps and replay
+    the insertions on the one-line word.  The input is
     checked on the way: the level steps' heights as the composition is
     read, the rest inside the cores' loops.  Every error names the path
     as given, level steps and all.
@@ -770,7 +769,7 @@ def andre_to_involution(ap: AndrePath) -> Perm:
         return tuple(range(1, len(word) + 1))
     # the matching's lower-right block: the opener of the j-th closer
     # is sigma[j]
-    sigma = _in_order(_history_tree(*_dyck_history(dyck, downs, word)))
+    sigma = _history_perm(*_dyck_history(dyck, downs, word))
     # closers sit after the len(sigma) openers, y_0 fixed points,
     # closer, y_1 fixed points, closer, ...; every other position is a
     # fixed point

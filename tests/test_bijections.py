@@ -324,9 +324,9 @@ def test_composites_match_oracle_chain():
 
 
 def test_dyck_word_is_read_off_the_child_slots():
-    # the lemma the composites rest on: history_to_dyck writes
-    # "U" + (left, right) slot pairs of vertices 1..k-1 + "D", that is
-    # R(0) L(1) R(1) ... R(k-1) L(k), child slots 1..2k in order
+    # the composite's Dyck word read off the tree: history_to_dyck
+    # writes "U" + (left, right) slot pairs of vertices 1..k-1 + "D",
+    # that is R(0) L(1) R(1) ... R(k-1) L(k), child slots 1..2k in order
     for k in range(1, 9):
         for sigma in permutations(range(1, k + 1)):
             kids = bijections._tree_kids(sigma)
@@ -400,6 +400,43 @@ def test_motzkin_dyck_counts():
         [1, 1, 2, 4, 9, 21, 51]
     assert [sum(1 for _ in iter_dyck_words(k)) for k in range(6)] == \
         [1, 1, 2, 5, 14, 42]
+
+
+def _obeys(word, levels):
+    h = 0
+    for s in word:
+        if s == "L" and (levels == "none" or levels == "even" and h % 2):
+            return False
+        h += (s == "U") - (s == "D")
+        if h < 0:
+            return False
+    return h == 0
+
+
+@pytest.mark.parametrize("levels", ["any", "even", "none"])
+def test_motzkin_words_are_every_legal_word_in_lexicographic_order(levels):
+    # the brute-force oracle: every word over D, L, U that obeys the
+    # mode's rules, in sorted order
+    from itertools import product
+
+    for n in range(11):
+        want = [w for w in map("".join, product("DLU", repeat=n)) if _obeys(w, levels)]
+        assert list(iter_motzkin_words(n, levels)) == want, (n, levels)
+
+
+@pytest.mark.parametrize("levels", ["any", "even", "none"])
+def test_first_long_motzkin_word_comes_out_at_once(levels):
+    # the first word is yielded without walking the rest, in bounded memory
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        first = next(iter_motzkin_words(24, levels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == ("UD" * 12 if levels == "none" else "L" * 24)
+    assert peak < 1_000_000, (levels, peak)
 
 
 def test_skew_half_examples():
