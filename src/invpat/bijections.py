@@ -55,8 +55,11 @@ path check it inside their loop, at one comparison per label, since
 the slot list or the stack of waiting U steps already holds the height
 that bounds it; in the composites those comparisons also run on the
 steps passed from one core to the next.  The other maps call a
-validator first: the level-step maps the one both labeled path types
-share, the maps from permutations and involutions those of ``core``.
+validator first: the maps from permutations and involutions those of
+``core``, the level-step maps ``check_labeled_dyck``.  Level steps are
+read, and their heights checked, in one place, ``_level_blocks``, so
+``strip_level_steps`` and ``check_andre`` run the validator on the word
+it strips, as ``andre_to_involution`` runs the cores on it.
 The slot lists are Python lists, and their C-level search and splice,
 with the C-level search for v in the word, are the only steps that grow
 with the size.
@@ -108,41 +111,6 @@ def check_motzkin(word: str) -> str:
     return word
 
 
-def _check_labeled_path(word: str, down_labels, levels_allowed: bool) -> None:
-    """
-    One pass over a labeled Motzkin word: steps, height, level steps
-    (anywhere only if ``levels_allowed``, and then at even height), one
-    int label per down step within 1..ceil(h/2) for the height h it
-    descends from.
-    """
-    h = k = 0
-    n_labels = len(down_labels)
-    for s in word:
-        if s == "U":
-            h += 1
-        elif s == "D":
-            if k == n_labels:
-                raise ValueError("one label per down step required")
-            lab = down_labels[k]
-            if not isinstance(lab, int) or not 1 <= lab <= (h + 1) // 2:
-                raise ValueError(f"label {lab!r} out of range for down step from height {h}")
-            k += 1
-            h -= 1
-            if h < 0:
-                raise ValueError(f"path dips below zero: {word!r}")
-        elif s == "L":
-            if not levels_allowed:
-                raise ValueError("Dyck word cannot contain level steps")
-            if h % 2:
-                raise ValueError(f"level step at odd height in {word!r}")
-        else:
-            raise ValueError(f"bad step {s!r} in {word!r}")
-    if h:
-        raise ValueError(f"path does not return to zero: {word!r}")
-    if k != n_labels:
-        raise ValueError("one label per down step required")
-
-
 def _word_and_labels(path) -> str:
     """The step word, or ``()`` when empty, then the down labels in parentheses."""
     return f"{path.word or '()'} ({','.join(map(str, path.down_labels))})"
@@ -162,7 +130,33 @@ class LabeledDyck:
 
 
 def check_labeled_dyck(ldp: LabeledDyck) -> LabeledDyck:
-    _check_labeled_path(ldp.word, ldp.down_labels, levels_allowed=False)
+    """
+    One pass over the word: steps, height, one int label per down step
+    within 1..ceil(h/2) for the height h it descends from.  A down step
+    from height 0 has no label in range, so the path never dips below 0.
+    """
+    h = k = 0
+    word, down_labels = ldp.word, ldp.down_labels
+    n_labels = len(down_labels)
+    for s in word:
+        if s == "U":
+            h += 1
+        elif s == "D":
+            if k == n_labels:
+                raise ValueError("one label per down step required")
+            lab = down_labels[k]
+            if not isinstance(lab, int) or not 1 <= lab <= (h + 1) // 2:
+                raise ValueError(f"label {lab!r} out of range for down step from height {h}")
+            k += 1
+            h -= 1
+        elif s == "L":
+            raise ValueError("Dyck word cannot contain level steps")
+        else:
+            raise ValueError(f"bad step {s!r} in {word!r}")
+    if h:
+        raise ValueError(f"path does not return to zero: {word!r}")
+    if k != n_labels:
+        raise ValueError("one label per down step required")
     return ldp
 
 
@@ -176,7 +170,8 @@ class AndrePath:
 
 
 def check_andre(ap: AndrePath) -> AndrePath:
-    _check_labeled_path(ap.word, ap.down_labels, levels_allowed=True)
+    """Level steps at even height, then the word without them as a labeled Dyck path."""
+    strip_level_steps(ap)
     return ap
 
 
@@ -229,6 +224,8 @@ def iter_motzkin_words(n: int, levels: str = "any") -> Iterator[str]:
     check_size(n)
     if levels not in ("any", "even", "none"):
         raise ValueError(f"levels must be 'any', 'even' or 'none', got {levels!r}")
+    if levels == "none" and n % 2:
+        return      # every step changes the height by one
     steps = "DU" if levels == "none" else "DLU"
     even_only = levels == "even"
     # the steps allowed at each height, in lexicographic order, with the
@@ -602,13 +599,15 @@ def strip_level_steps(ap: AndrePath) -> tuple[tuple[int, ...], LabeledDyck]:
     """
     Remove the level steps, recording block sizes: part 0 before the
     first rise, part i after the 2i-th Dyck step.  Down labels carry
-    over unchanged.
+    over unchanged.  The level steps' heights are checked as the blocks
+    are read, then the Dyck word and labels by :func:`check_labeled_dyck`,
+    so an error names the word without its level steps.
 
     >>> strip_level_steps(AndrePath("UDLL", (1,)))
     ((0, 2), LabeledDyck(word='UD', down_labels=(1,)))
     """
-    comp, dyck = _level_blocks(check_andre(ap).word)
-    return tuple(comp), LabeledDyck(dyck, ap.down_labels)
+    comp, dyck = _level_blocks(ap.word)
+    return tuple(comp), check_labeled_dyck(LabeledDyck(dyck, ap.down_labels))
 
 
 def _level_blocks(word: str) -> tuple[list[int], str]:

@@ -22,8 +22,8 @@ picks a pattern set's or raises ``ValueError``, and ``invpat count
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, factorial
 from typing import Callable
 
@@ -380,37 +380,24 @@ def _fixed_point_terms(n: int, f_counts: list[int]) -> list[int]:
     return [comb(n, m) * f_counts[n - m] for m in range(n + 1)]
 
 
-# largest size at which check_fixed_point_identity tries every fixed set
-SUBSET_LIMIT = 8
-
-
 def check_fixed_point_identity(r: PatternSet, n_max: int) -> bool:
     """
     Removing fixed points is a bijection onto matchings avoiding the
-    same fixed-point-free patterns: for every n <= n_max and m,
-    #avoiders with m fixed points = C(n,m) * #matching avoiders of size
-    n-m, and (up to ``SUBSET_LIMIT``) the count with a prescribed fixed
-    set does not depend on the set.
+    same fixed-point-free patterns.  For every n <= n_max, with f
+    counting the matching avoiders: each set S that is the fixed-point
+    set of a size-n avoider is that of exactly f(n - |S|) of them, and
+    they number sum over m of C(n,m) * f(n-m) in all.  That total is
+    f(n - |S|) summed over every S, so each S with f(n - |S|) > 0 occurs.
     """
     if r.mode is not Mode.F:
         raise ValueError("the identity needs fixed-point-free patterns")
     as_i = PatternSet(r.patterns, Mode.I)
     f_counts = _level_counts(r, Mode.F, n_max)
     for n, members in avoider_levels(as_i, Mode.I, n_max):
-        by_fix = [0] * (n + 1)
-        by_set: dict[frozenset[int], int] = {}
-        for tau in members:
-            fp = frozenset(fixed_points(tau))
-            by_fix[len(fp)] += 1
-            if n <= SUBSET_LIMIT:
-                by_set[fp] = by_set.get(fp, 0) + 1
-        if by_fix != _fixed_point_terms(n, f_counts):
+        by_set = Counter(tuple(fixed_points(tau)) for tau in members)
+        if any(c != f_counts[n - len(fp)] for fp, c in by_set.items()) or \
+                sum(by_set.values()) != sum(_fixed_point_terms(n, f_counts)):
             return False
-        if n <= SUBSET_LIMIT:
-            for m in range(n + 1):
-                for s in combinations(range(1, n + 1), m):
-                    if by_set.get(frozenset(s), 0) != f_counts[n - m]:
-                        return False
     return True
 
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 from .classes import PatternSet, avoider_levels
 from .containment import Mode, PatternChecker, avoids_all
-from .core import Perm, generate_fpf, generate_involutions, odd_fix_gap, parse_perm
+from .core import (Perm, format_perm, generate_fpf, generate_involutions, odd_fix_gap,
+                   parse_perm)
 from .enumeration import involution_count, matching_count
 
 # rationally smooth symplectic orbits: matchings avoiding these
@@ -80,6 +81,17 @@ def smoothness_involution(tau: Perm) -> bool:
 # equality sweeps
 
 
+def _part(part: int):
+    """
+    A part's pattern set, deletion order, finer deletion order (part 1
+    only, else None), generator and ambient count, read from the module
+    when called.
+    """
+    if part == 1:
+        return PI_SMOOTH, Mode.IPRIME, Mode.I, generate_involutions, involution_count
+    return PI_PRIME, Mode.F, None, generate_fpf, matching_count
+
+
 @dataclass
 class SizeRow:
     """Tallies for one size of a sweep."""
@@ -95,7 +107,8 @@ class SizeRow:
 
     @property
     def equal(self) -> bool:
-        return self.extra_coarse == 0 and self.extra_full == 0
+        # Av_I(S) lies in Av_I'(S), so extra_full <= extra_coarse
+        return self.extra_coarse == 0
 
 
 @dataclass
@@ -109,14 +122,11 @@ class SweepReport:
         return all(row.equal for row in self.rows.values())
 
     def first_counterexample(self) -> Perm | None:
-        for n in sorted(self.rows):
-            if self.rows[n].counterexample is not None:
-                return self.rows[n].counterexample
-        return None
+        # the sweep stops at the first size that has one
+        return self.rows[max(self.rows)].counterexample if self.rows else None
 
     def to_text(self) -> str:
-        from .core import format_perm
-
+        patterns, _, finer, _, _ = _part(self.part)
         lines = [f"part {self.part} equality sweep to size {self.max_size}"]
         for n in sorted(self.rows):
             row = self.rows[n]
@@ -124,10 +134,9 @@ class SweepReport:
             lines.append(
                 f"  n={n:<3d} total={row.total:<10d} classical={avoid:<9d} "
                 f"coarse={avoid + row.extra_coarse:<9d} "
-                + (f"full={avoid + row.extra_full:<9d} " if self.part == 1 else "")
-                + ("equal" if row.equal else "UNEQUAL counterexample="
-                   + (format_perm(row.counterexample) if row.counterexample else "?")))
-        patterns = PI_SMOOTH if self.part == 1 else PI_PRIME
+                + (f"full={avoid + row.extra_full:<9d} " if finer else "")
+                + ("equal" if row.equal else
+                   f"UNEQUAL counterexample={format_perm(row.counterexample)}"))
         if not self.equal:
             verdict = f"EQUALITY FAILS at size {len(self.first_counterexample())}"
         elif self.max_size >= 2 * max(map(len, patterns)):
@@ -140,12 +149,7 @@ class SweepReport:
 
 
 def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
-    if part == 1:
-        patterns, order, count = PI_SMOOTH, Mode.IPRIME, involution_count
-        full = PatternChecker(PI_SMOOTH, Mode.I)
-    else:
-        patterns, order, count = PI_PRIME, Mode.F, matching_count
-        full = None
+    patterns, order, finer, _, count = _part(part)
     if max_size < part:     # the smallest nonempty matching has size 2
         raise ValueError(f"part {part} needs max_size at least {part}, got {max_size}")
     report = SweepReport(part, max_size)
@@ -157,11 +161,13 @@ def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
         visited = sum(1 for _ in members)
         missed = [tau for tau in violators if tau not in patterns]
         violators.clear()
-        if n == 0 or (part == 2 and n % 2):
+        if n == 0 or n % part:      # part 2 has matchings of even size only
             continue
-        row = SizeRow(n, count(n), visited, len(missed),
-                      sum(full is None or not full.contains_any(tau) for tau in missed),
-                      min(missed, default=None))
+        extra_full = len(missed)
+        if missed and finer:
+            full = PatternChecker(patterns, finer)
+            extra_full = sum(not full.contains_any(tau) for tau in missed)
+        row = SizeRow(n, count(n), visited, len(missed), extra_full, min(missed, default=None))
         report.rows[n] = row
         if progress:
             now = time.perf_counter()
@@ -174,27 +180,20 @@ def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
 
 def _brute_force_row(part: int, n: int) -> SizeRow:
     """One sweep row by scanning every element of size n: the test oracle."""
-    if part == 1:
-        gen = generate_involutions(n)
-        classical = PatternChecker(PI_SMOOTH, Mode.CLASSICAL)
-        coarse = PatternChecker(PI_SMOOTH, Mode.IPRIME)
-        full = PatternChecker(PI_SMOOTH, Mode.I)
-    else:
-        gen = generate_fpf(n)
-        classical = PatternChecker(PI_PRIME, Mode.CLASSICAL)
-        coarse = PatternChecker(PI_PRIME, Mode.F)
-        full = None
+    patterns, order, finer, generate, _ = _part(part)
+    classical = PatternChecker(patterns, Mode.CLASSICAL)
+    coarse = PatternChecker(patterns, order)
+    full = PatternChecker(patterns, finer) if finer else None
     row = SizeRow(n)
-    for tau in gen:
+    for tau in generate(n):
         row.total += 1
         if not classical.contains_any(tau):
             row.classical_avoiders += 1
             continue
-        missed_coarse = not coarse.contains_any(tau)
-        missed_full = missed_coarse if full is None else not full.contains_any(tau)
-        row.extra_coarse += missed_coarse
-        row.extra_full += missed_full
-        if (missed_coarse or missed_full) and row.counterexample is None:
+        missed = not coarse.contains_any(tau)
+        row.extra_coarse += missed
+        row.extra_full += missed if full is None else not full.contains_any(tau)
+        if missed and row.counterexample is None:
             row.counterexample = tau
     return row
 

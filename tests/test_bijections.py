@@ -236,8 +236,11 @@ def test_path_validators_match_multipass_oracle():
                     rejected = _raises(check_labeled_dyck, ldp)
                     assert rejected == _raises(oracle_check_labeled_dyck, word, labels), \
                         (word, labels)
-                    assert _raises(check_andre, AndrePath(word, labels)) == \
-                        _raises(oracle_check_andre, word, labels), (word, labels)
+                    rejected_andre = _raises(oracle_check_andre, word, labels)
+                    assert _raises(check_andre, AndrePath(word, labels)) == rejected_andre, \
+                        (word, labels)
+                    assert _raises(strip_level_steps, AndrePath(word, labels)) == \
+                        rejected_andre, (word, labels)
                     # dyck_to_history checks its input in the loop that reads it
                     assert _raises(dyck_to_history, ldp) == (rejected or not word), ldp
     assert cases > 500_000
@@ -422,6 +425,15 @@ def test_motzkin_words_are_every_legal_word_in_lexicographic_order(levels):
     for n in range(11):
         want = [w for w in map("".join, product("DLU", repeat=n)) if _obeys(w, levels)]
         assert list(iter_motzkin_words(n, levels)) == want, (n, levels)
+
+
+def test_odd_length_dyck_words_are_none_at_once():
+    # every Dyck step changes the height by one, so no odd prefix is walked
+    import time
+
+    start = time.perf_counter()
+    assert list(iter_motzkin_words(33, "none")) == []
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("levels", ["any", "even", "none"])

@@ -159,6 +159,24 @@ def test_fixed_point_identity():
         check_fixed_point_identity(PatternSet([(1, 3, 2)], Mode.I), 6)
 
 
+def test_fixed_point_identity_checks_each_set_past_size_8(monkeypatch):
+    # size-9 avoiders fixing only 1 are reported as fixing only 2: the
+    # counts by size and by number of fixed points stay right, the count
+    # of the set {2} does not
+    import invpat.enumeration as enumeration
+
+    real = enumeration.fixed_points
+
+    def moved(tau):
+        fp = real(tau)
+        return [2] if len(tau) == 9 and fp == [1] else fp
+
+    r = PatternSet([(2, 1, 4, 3)], Mode.F)
+    assert check_fixed_point_identity(r, 9)
+    monkeypatch.setattr(enumeration, "fixed_points", moved)
+    assert not check_fixed_point_identity(r, 9)
+
+
 def test_stanley_identity():
     assert check_corollary_stanley(1, 8)
     assert check_corollary_stanley(2, 9)
