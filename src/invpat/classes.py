@@ -36,6 +36,8 @@ class PatternSet:
     mode: Mode
 
     def __init__(self, patterns, mode: Mode):
+        if not isinstance(mode, Mode):      # checked here too for a set with no patterns
+            raise ValueError(f"mode must be a Mode, not {mode!r}")
         object.__setattr__(self, "patterns",
                            frozenset(check_for_mode(tuple(p), mode) for p in patterns))
         object.__setattr__(self, "mode", mode)
@@ -55,10 +57,11 @@ def _checked_floor(ps: PatternSet, ambient: Mode, max_size: int) -> int:
     """
     The *floor* of ps, its smallest pattern size (max_size + 1 for the
     empty set), once the engine's input is checked: the ambient is an
-    involution or matching order, the size is nonnegative, and an
-    ``F``-mode set is read only in the matchings.
+    involution or matching order (a ``Mode``, not its string value), the
+    size is nonnegative, and an ``F``-mode set is read only in the
+    matchings.
     """
-    if ambient is Mode.CLASSICAL:
+    if not isinstance(ambient, Mode) or ambient is Mode.CLASSICAL:
         raise ValueError("ambient must be one of the involution/matching orders")
     check_size(max_size)
     if ps.mode is Mode.F and ambient is not Mode.F:

@@ -72,7 +72,12 @@ class Mode(enum.Enum):
 
 
 def check_for_mode(pi: Perm, mode: Mode) -> Perm:
-    """Validate an element against a mode's ambient family."""
+    """
+    Validate an element against a mode's ambient family.  The mode must
+    be a ``Mode``: a string such as ``"I"`` would be read as another order.
+    """
+    if not isinstance(mode, Mode):
+        raise ValueError(f"mode must be a Mode, not {mode!r}")
     if mode is Mode.CLASSICAL:
         return check_permutation(pi)
     if mode is Mode.F:

@@ -360,11 +360,10 @@ def parse_perm(text: str) -> Perm:
         return ()
     if text.startswith("("):
         return _parse_cycle_form(text)
-    if "," in text:
-        return check_permutation(tuple(int(p) for p in text.split(",")))
-    if not text.isdigit():
+    fields = [f.strip() for f in text.split(",")] if "," in text else list(text)
+    if not all(f.isdecimal() for f in fields):
         raise ValueError(f"cannot parse permutation from {text!r}")
-    return check_permutation(tuple(int(c) for c in text))
+    return check_permutation(tuple(int(f) for f in fields))
 
 
 def format_cycles(tau: Perm) -> str:

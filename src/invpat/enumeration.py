@@ -15,10 +15,12 @@ size are the exception: every element there avoids the set, so their
 count is the ambient count, not a tally, and the engine is not run at
 all when no size asked for reaches the smallest pattern.  For the empty
 set that is every size, so ``invpat count --formula`` on it checks its
-closed form against that ambient count, not a tally.  ``FORMULAS``
-names the closed forms on file by (pattern, order); :func:`closed_form`
-picks a pattern set's or raises ``ValueError``, and ``invpat count
---formula`` asks it before counting anything.
+closed form against that ambient count, not a tally.  The fixed-point
+identities tally every size, the empty set's too, so their left side is
+never their right side's formula.  ``FORMULAS`` names the closed forms
+on file by (pattern, order); :func:`closed_form` picks a pattern set's
+or raises ``ValueError``, and ``invpat count --formula`` asks it before
+counting anything.
 """
 from __future__ import annotations
 
@@ -99,36 +101,25 @@ class CountTable:
                          + [f"  {key} {c:>{width}d}" for key, c in rows])
 
 
-def _tally(members, refine_by_fixed_points: bool):
-    """Number of members, or a dict of them keyed by fixed-point count."""
-    if not refine_by_fixed_points:
-        return sum(1 for _ in members)
-    refined: dict[int, int] = {}
-    for tau in members:
-        m = len(fixed_points(tau))
-        refined[m] = refined.get(m, 0) + 1
-    return refined
-
-
-def _tallies(ps: PatternSet, ambient: Mode, n_max: int,
-             refine_by_fixed_points: bool, low: int = 0):
+def _tallies(ps: PatternSet, ambient: Mode, n_max: int, refine_by_fixed_points: bool):
     """
-    Yield ``(n, tally)`` for n = low..n_max, each tally as :func:`_tally`
-    makes it.  Below the *floor*, the smallest pattern size (every size
-    for the empty set), every element of the ambient family avoids ps, so
-    the tally is the ambient count: C(n, m) * (n-m-1)!! involutions with m
-    fixed points, or the (n-1)!! matchings in ``F``.  From the floor up
-    the sizes are tallied from one pass of the level engine, which is not
-    run at all when the floor lies above n_max.  The floor comes with the
-    engine's input checks, so bad input raises the engine's ``ValueError``
-    whether or not the engine runs.
+    Yield ``(n, tally)`` for n = 0..n_max, a tally being the number of
+    size-n avoiders or, with the refinement flag, a dict of them keyed by
+    fixed-point count.  Below the *floor*, the smallest pattern size
+    (every size for the empty set), every element of the ambient family
+    avoids ps, so the tally is the ambient count: C(n, m) * (n-m-1)!!
+    involutions with m fixed points, or the (n-1)!! matchings in ``F``.
+    From the floor up the sizes are tallied from one pass of the level
+    engine, which is not run at all when the floor lies above n_max.  The
+    floor comes with the engine's input checks, so bad input raises the
+    engine's ``ValueError`` whether or not the engine runs.
 
     >>> dict(_tallies(PatternSet([], Mode.I), Mode.I, 3, True))
     {0: {0: 1}, 1: {1: 1}, 2: {0: 1, 2: 1}, 3: {1: 3, 3: 1}}
     """
     floor = _checked_floor(ps, ambient, n_max)
     f_counts = [matching_count(k) for k in range(min(floor, n_max + 1))]
-    for n in range(low, len(f_counts)):
+    for n in range(len(f_counts)):
         terms = [f_counts[n]] if ambient is Mode.F else _fixed_point_terms(n, f_counts)
         if refine_by_fixed_points:
             yield n, {m: c for m, c in enumerate(terms) if c}
@@ -136,8 +127,12 @@ def _tallies(ps: PatternSet, ambient: Mode, n_max: int,
             yield n, sum(terms)
     if floor <= n_max:
         for n, members in avoider_levels(ps, ambient, n_max):
-            if n >= floor and n >= low:
-                yield n, _tally(members, refine_by_fixed_points)
+            if n < floor:
+                continue
+            if refine_by_fixed_points:
+                yield n, dict(Counter(len(fixed_points(tau)) for tau in members))
+            else:
+                yield n, sum(1 for _ in members)
 
 
 def count_avoiders(ps: PatternSet, ambient: Mode, n: int,
@@ -151,7 +146,7 @@ def count_avoiders(ps: PatternSet, ambient: Mode, n: int,
     >>> count_avoiders(PatternSet([(2, 1, 4, 3)], Mode.I), Mode.I, 4)
     9
     """
-    [(_, tally)] = _tallies(ps, ambient, n, refine_by_fixed_points, n)
+    *_, (_, tally) = _tallies(ps, ambient, n, refine_by_fixed_points)
     return tally
 
 
@@ -170,8 +165,8 @@ def count_table(ps: PatternSet, ambient: Mode, n_max: int,
     """Counts for sizes 1..n_max (even sizes only for matchings) in one pass."""
     if ambient is Mode.F:
         n_max -= n_max % 2           # the odd top level is empty: grow to the even one
-    tallies = {n: tally for n, tally in _tallies(ps, ambient, n_max, refine_by_fixed_points, 1)
-               if not (ambient is Mode.F and n % 2)}
+    tallies = {n: tally for n, tally in _tallies(ps, ambient, n_max, refine_by_fixed_points)
+               if n and not (ambient is Mode.F and n % 2)}
     if not refine_by_fixed_points:
         return CountTable(ps, ambient, tallies)
     counts = {n: sum(by_fix.values()) for n, by_fix in tallies.items()}
@@ -380,6 +375,24 @@ def _fixed_point_terms(n: int, f_counts: list[int]) -> list[int]:
     return [comb(n, m) * f_counts[n - m] for m in range(n + 1)]
 
 
+def _fixed_point_rows(r: PatternSet, n_max: int):
+    """
+    Yield ``(n, lhs, rhs, by_set)`` for n = 0..n_max from one pass of the
+    level engine over the involutions avoiding r, with f counting the
+    matching avoiders of r: lhs is the number of size-n involution
+    avoiders, tallied, rhs = sum over m of C(n,m) * f(n-m), and by_set
+    says whether each set S that is the fixed-point set of a size-n
+    avoider is that of exactly f(n - |S|) of them.
+    """
+    if r.mode is not Mode.F:
+        raise ValueError("the identity needs fixed-point-free patterns")
+    f_counts = _level_counts(r, Mode.F, n_max)
+    for n, members in avoider_levels(PatternSet(r.patterns, Mode.I), Mode.I, n_max):
+        by_set = Counter(tuple(fixed_points(tau)) for tau in members)
+        yield (n, sum(by_set.values()), sum(_fixed_point_terms(n, f_counts)),
+               all(c == f_counts[n - len(fp)] for fp, c in by_set.items()))
+
+
 def check_fixed_point_identity(r: PatternSet, n_max: int) -> bool:
     """
     Removing fixed points is a bijection onto matchings avoiding the
@@ -388,17 +401,9 @@ def check_fixed_point_identity(r: PatternSet, n_max: int) -> bool:
     set of a size-n avoider is that of exactly f(n - |S|) of them, and
     they number sum over m of C(n,m) * f(n-m) in all.  That total is
     f(n - |S|) summed over every S, so each S with f(n - |S|) > 0 occurs.
+    The check stops at the first size that fails.
     """
-    if r.mode is not Mode.F:
-        raise ValueError("the identity needs fixed-point-free patterns")
-    as_i = PatternSet(r.patterns, Mode.I)
-    f_counts = _level_counts(r, Mode.F, n_max)
-    for n, members in avoider_levels(as_i, Mode.I, n_max):
-        by_set = Counter(tuple(fixed_points(tau)) for tau in members)
-        if any(c != f_counts[n - len(fp)] for fp, c in by_set.items()) or \
-                sum(by_set.values()) != sum(_fixed_point_terms(n, f_counts)):
-            return False
-    return True
+    return all(lhs == rhs and by_set for _, lhs, rhs, by_set in _fixed_point_rows(r, n_max))
 
 
 def check_corollary_stanley(m: int, n_max: int) -> bool:
@@ -420,17 +425,11 @@ def check_corollary_stanley(m: int, n_max: int) -> bool:
 def egf_identity_report(r: PatternSet, n_max: int) -> list[tuple[int, int, int, bool]]:
     """
     Coefficient form of "involution avoiders = e^x times matching
-    avoiders": rows (n, lhs, rhs, equal) with
-    rhs = sum over m of C(n,m) * #matching avoiders of size n-m.
+    avoiders": rows (n, lhs, rhs, equal) for n = 0..n_max, with lhs the
+    involution avoiders of size n, tallied, and rhs = sum over m of
+    C(n,m) * #matching avoiders of size n-m.
     """
-    if r.mode is not Mode.F:
-        raise ValueError("the identity needs fixed-point-free patterns")
-    f_counts = _level_counts(r, Mode.F, n_max)
-    rows = []
-    for n, lhs in enumerate(_level_counts(PatternSet(r.patterns, Mode.I), Mode.I, n_max)):
-        rhs = sum(_fixed_point_terms(n, f_counts))
-        rows.append((n, lhs, rhs, lhs == rhs))
-    return rows
+    return [(n, lhs, rhs, lhs == rhs) for n, lhs, rhs, _ in _fixed_point_rows(r, n_max)]
 
 
 def format_count_comparison(rows: list[tuple[int, int, int, bool]],

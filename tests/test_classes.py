@@ -36,6 +36,25 @@ def test_pattern_set_validation():
     assert ps.max_size() == 3
 
 
+def test_a_mode_given_as_its_string_value_is_rejected():
+    # each call once read the string as another order and answered
+    # wrongly: the I' basis (2143 in it) for "I", False for a containment
+    # that holds in I, and the involutions counted for "F"
+    from invpat.containment import contains
+    from invpat.enumeration import count_table
+
+    with pytest.raises(ValueError, match="ambient must be one of"):
+        compute_basis(PatternSet([(1, 3, 2)], Mode.CLASSICAL), "I")
+    with pytest.raises(ValueError, match="mode must be a Mode"):
+        contains((2, 1), (1,), "I")
+    with pytest.raises(ValueError, match="ambient must be one of"):
+        count_table(PatternSet([(3, 2, 1)], Mode.CLASSICAL), "F", 4)
+    with pytest.raises(ValueError, match="mode must be a Mode"):
+        PatternSet([(2, 1)], "I")
+    with pytest.raises(ValueError, match="mode must be a Mode"):
+        PatternSet([], "F")
+
+
 def test_class_members_examples():
     from math import factorial
 

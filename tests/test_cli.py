@@ -233,11 +233,18 @@ def test_usage_errors(capsys, argv):
     # a bad pattern list fails before any identity prints its line
     ["identities", "--stanley", "--m", "3", "--to", "10", "--fixed-points", "zzz"],
     ["identities", "--fixed-points", "2143", "--to", "6", "--egf", "zzz"],
+    ["count", "--patterns", "1,,2", "--to", "3"],
 ])
 def test_usage_errors_leave_through_main(capsys, argv):
     status, out, err = run(capsys, *argv)
     assert status == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_a_comma_pattern_with_an_empty_field_is_named(capsys):
+    # the comma form once leaked int()'s message about the empty field
+    status, out, err = run(capsys, "count", "--patterns", "1,,2", "--to", "3")
+    assert (status, out, err) == (2, "", "error: cannot parse permutation from '1,,2'\n")
 
 
 def test_bijection_round_trip(capsys):

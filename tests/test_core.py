@@ -253,6 +253,9 @@ def test_textual_forms():
         parse_perm("122")
     with pytest.raises(ValueError):
         parse_perm("(1,2)(2,3)")
+    for text in ("1,,2", "1,-2", "2,1,x"):
+        with pytest.raises(ValueError, match="cannot parse permutation from"):
+            parse_perm(text)
 
 
 @given(st.permutations(list(range(1, 10))))

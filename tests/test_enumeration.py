@@ -194,6 +194,23 @@ def test_egf_identity():
     assert rows[6][2] == sum(comb(6, m) * matching_count(6 - m) for m in range(7))
 
 
+def test_egf_identity_tallies_the_involutions(monkeypatch):
+    # one extra term on the e^x side shows at every size, the empty set's
+    # too: the left side is a tally of the involutions, not the right
+    # side's own formula
+    real = enumeration._fixed_point_terms
+
+    def skewed(n, f_counts):
+        first, *rest = real(n, f_counts)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(enumeration, "_fixed_point_terms", skewed)
+    rows = egf_identity_report(PatternSet([], Mode.F), 6)
+    assert [lhs for _, lhs, _, _ in rows] == [involution_count(n) for n in range(7)]
+    assert not any(ok for *_, ok in rows)
+    assert not check_fixed_point_identity(PatternSet([], Mode.F), 6)
+
+
 def test_reverse_complement_equivariance():
     for pats in ([(1, 3, 2)], [(1, 2, 3)], [(2, 1, 4, 3)], [(1, 3, 2), (2, 1)]):
         ps = PatternSet(pats, Mode.I)
