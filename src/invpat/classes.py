@@ -8,9 +8,10 @@ keeps a candidate iff its one-step deletions are all members, decided
 by integer lookups of image ids rather than by building the images.
 One candidate loop grows both kinds of element: those whose last cycle
 is a fixed point and those whose last cycle is a 2-cycle.
-Class members (:func:`class_members`), bases (:func:`compute_basis`),
-counts (:mod:`invpat.enumeration`) and the equality sweeps
-(:mod:`invpat.mcgovern`) all read it.  A basis is
+Class members (:func:`class_members`) and counts
+(:mod:`invpat.enumeration`) read it, and so does one basis pass, which
+both :func:`compute_basis` and the equality sweeps
+(:mod:`invpat.mcgovern`) read size by size.  A basis is
 the set of minimal violators of a classical pattern set inside a
 deletion order; searching up to twice the largest pattern size is
 guaranteed to find all of it.
@@ -290,6 +291,22 @@ class BasisReport:
         return rows
 
 
+def _basis_levels(pi: PatternSet, ambient: Mode, bound: int):
+    """
+    Yield ``(n, count, basis)`` for n = 0..bound from one pass of
+    :func:`avoider_levels` over the classical avoiders of pi in the
+    ambient order: the number of size-n members and the size-n basis
+    elements, the closed but excluded candidates, sorted.  Each level is
+    consumed before its violators are read, as the top level finds its
+    own only while it is grown.
+    """
+    violators: list[Perm] = []
+    for n, members in avoider_levels(pi, ambient, bound, violators):
+        count = sum(1 for _ in members)
+        yield n, count, tuple(sorted(violators))
+        violators.clear()
+
+
 def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> BasisReport:
     """
     Basis of the class of classical avoiders of pi inside the ambient
@@ -312,14 +329,8 @@ def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> Ba
     max_pat = pi.max_size()
     if bound is None:
         bound = 2 * max_pat
-    if bound < max_pat:
+    if check_size(bound) < max_pat:
         raise ValueError(f"bound {bound} is below the largest pattern size {max_pat}")
-
-    violators: list[Perm] = []
-    counts = {n: sum(1 for _ in members)
-              for n, members in avoider_levels(pi, ambient, bound, violators)}
-    found: dict[int, list[Perm]] = {}
-    for tau in sorted(violators):
-        found.setdefault(len(tau), []).append(tau)
-    return BasisReport({m: tuple(v) for m, v in sorted(found.items())},
-                       bound, ambient, pi, counts)
+    levels = list(_basis_levels(pi, ambient, bound))
+    return BasisReport({n: basis for n, _, basis in levels if basis}, bound, ambient, pi,
+                       {n: count for n, count, _ in levels})

@@ -11,7 +11,8 @@ Subcommands:
 - ``bijection``: map an involution to its even-level path and back;
   ``--labels`` goes with ``--omega-inv`` only.
 - ``identities``: the counting identities (block-pattern symmetry,
-  fixed-point factorization, three-term recurrence, continued fraction).
+  fixed-point factorization, three-term recurrence, continued fraction);
+  ``--m`` goes with ``--stanley`` only.
 
 Everything is exhaustive and deterministic; exit status 0 iff all
 requested checks pass.  argparse rejects an unknown option or a
@@ -143,13 +144,16 @@ def cmd_identities(args) -> int:
     if not (args.stanley or args.recurrence or args.dseries) and \
             args.fixed_points is None and args.egf is None:
         raise ValueError("pick at least one identity to check")
+    if args.m is not None and not args.stanley:
+        raise ValueError("--m sets the block size of --stanley: it needs --stanley")
+    m = 2 if args.m is None else args.m
     # parse both pattern lists before any identity prints its line
     fixed, egf = (None if text is None else PatternSet(_pattern_list(text), Mode.F)
                   for text in (args.fixed_points, args.egf))
     failed = 0
     if args.stanley:
-        ok = check_corollary_stanley(args.m, args.to)
-        print(f"block-pattern symmetry at m={args.m} to n={args.to}: "
+        ok = check_corollary_stanley(m, args.to)
+        print(f"block-pattern symmetry at m={m} to n={args.to}: "
               f"{'equal' if ok else 'UNEQUAL'}")
         failed += not ok
     if fixed is not None:
@@ -229,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     idn = sub.add_parser("identities", help="counting identities")
     idn.add_argument("--stanley", action="store_true",
                      help="block pattern vs decreasing pattern of size 2m")
-    idn.add_argument("--m", type=int, default=2)
+    idn.add_argument("--m", type=int, default=None,
+                     help="block size of --stanley's pattern (default 2)")
     idn.add_argument("--fixed-points", metavar="PATTERNS", default=None,
                      help="fixed-point factorization for these matching patterns")
     idn.add_argument("--egf", metavar="PATTERNS", default=None,

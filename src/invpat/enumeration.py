@@ -164,7 +164,7 @@ def count_table(ps: PatternSet, ambient: Mode, n_max: int,
                 refine_by_fixed_points: bool = False) -> CountTable:
     """Counts for sizes 1..n_max (even sizes only for matchings) in one pass."""
     if ambient is Mode.F:
-        n_max -= n_max % 2           # the odd top level is empty: grow to the even one
+        n_max -= check_size(n_max) % 2      # the odd top level is empty: grow to the even one
     tallies = {n: tally for n, tally in _tallies(ps, ambient, n_max, refine_by_fixed_points)
                if n and not (ambient is Mode.F and n % 2)}
     if not refine_by_fixed_points:
@@ -203,7 +203,7 @@ def formula_pattern321(n: int) -> int:
     >>> formula_pattern321(4)
     6
     """
-    if n < 1:
+    if check_size(n) < 1:
         raise ValueError("n must be positive")
     return comb(n, n // 2)
 
@@ -216,7 +216,7 @@ def formula_pattern132_poly(n: int) -> PolyT:
     >>> str(formula_pattern132_poly(3))
     '1 + 2t'
     """
-    if n < 1:
+    if check_size(n) < 1:
         raise ValueError("n must be positive")
     return PolyT(tuple(comb(n - k, k) * factorial(k) for k in range(n // 2 + 1)))
 
@@ -233,7 +233,7 @@ def formula_pattern123(n: int) -> int:
     >>> formula_pattern123(4)
     6
     """
-    if n < 1:
+    if check_size(n) < 1:
         raise ValueError("n must be positive")
     return sum(factorial(k // 2) * factorial((n - k) // 2) * comb(n - k // 2 - 1, n - k)
                for k in range(1, n + 1))
@@ -251,7 +251,7 @@ def formula_pattern2143(n: int) -> int:
 
 
 def _half_factorial(n: int) -> int:
-    return factorial(n // 2)
+    return factorial(check_size(n) // 2)
 
 
 # closed forms on file, keyed by (pattern, containment order)
@@ -288,7 +288,7 @@ def check_recurrence_132(n_max: int) -> bool:
     >>> check_recurrence_132(14)
     True
     """
-    vals = {n: formula_pattern132(n) for n in range(1, max(n_max, 1) + 1)}
+    vals = {n: formula_pattern132(n) for n in range(1, max(check_size(n_max), 1) + 1)}
     return all(2 * vals[n] == 3 * vals[n - 1] + (n - 1) * vals[n - 2] - (n - 1) * vals[n - 3]
                for n in range(4, n_max + 1))
 
@@ -339,7 +339,7 @@ def d_series(p: int, q: int, n_max: int) -> list[PolyT]:
     >>> [str(d) for d in d_series(1, -1, 5)]
     ['1', '1', '1 + t', '1 + 2t', '1 + 3t + 2t^2']
     """
-    if n_max < 1:
+    if check_size(n_max) < 1:
         raise ValueError("need at least one term")
     level = [pq_bracket(h + 1, p, q) for h in range(n_max)]
     down = [pq_binomial(h + 1, 2, p, q) for h in range(n_max)]
@@ -414,7 +414,7 @@ def check_corollary_stanley(m: int, n_max: int) -> bool:
     >>> check_corollary_stanley(2, 8)
     True
     """
-    if m < 1:
+    if check_size(m) < 1:
         raise ValueError("m must be positive")
     shift = tuple(range(m + 1, 2 * m + 1)) + tuple(range(1, m + 1))
     dec = tuple(range(2 * m, 0, -1))

@@ -10,21 +10,20 @@ cycle-respecting and classical orders coincide for the symplectic set.
 
 Every deletion removes entries, so for a set S and a deletion order X,
 Av_cl(S) is contained in Av_I(S), which is contained in Av_I'(S) (and,
-for matchings, Av_cl(S) in Av_F(S)).  A sweep is the pass
-:func:`invpat.classes.compute_basis` runs: the level engine
-:func:`invpat.classes.avoider_levels` grows Av_cl(S) in X (I' for part
-1, F for part 2), and its *violators*, the closed candidates that
-contain a pattern, form the basis of Av_cl(S) in X.  A violator outside
-S is a counterexample: it is no pattern, and its one-step images avoid
-S.  Conversely, below a counterexample tau of the smallest size m that
-has one lies a basis element b, which avoids S in X as tau does, so b
-is outside S, of size m, and b = tau.  So the counterexamples of size m are the
-violators outside S, smaller sizes have none, and the sweep stops at m.
+for matchings, Av_cl(S) in Av_F(S)).  A sweep reads the pass
+:func:`invpat.classes.compute_basis` makes, size by size: the level
+engine grows Av_cl(S) in X (I' for part 1, F for part 2), and the closed
+candidates that contain a pattern form the basis of Av_cl(S) in X.  A
+basis element outside S is a counterexample: it is no pattern, and its
+one-step images avoid S.  Conversely, below a counterexample tau of the
+smallest size m that has one lies a basis element b, which avoids S in
+X as tau does, so b is outside S, of size m, and b = tau.  So the
+counterexamples of size m are the basis elements outside S, smaller
+sizes have none, and the sweep stops at m.
 
-Each occurrence of p in a basis element touches each of its units (see
-:func:`invpat.containment.closed_classical_check`), so the basis lies
-below twice the largest pattern size, 16 for both sets: a sweep that
-reaches it with no counterexample proves equality at every size.  Both
+The basis lies below twice the largest pattern size, 16 for both sets
+(:func:`invpat.containment.closed_classical_check` says why), so a sweep
+that reaches it with no counterexample proves equality at every size.  Both
 sets are closed under reverse-complement, which keeps cycle type and
 classical containment, so of each mirror pair of candidates only one is
 searched.  The totals per size come from the closed counts, not from a
@@ -37,10 +36,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .classes import PatternSet, avoider_levels
+from .classes import PatternSet, _basis_levels
 from .containment import Mode, PatternChecker, avoids_all
-from .core import (Perm, format_perm, generate_fpf, generate_involutions, odd_fix_gap,
-                   parse_perm)
+from .core import (Perm, check_size, format_perm, generate_fpf, generate_involutions,
+                   odd_fix_gap, parse_perm)
 from .enumeration import involution_count, matching_count
 
 # rationally smooth symplectic orbits: matchings avoiding these
@@ -150,24 +149,21 @@ class SweepReport:
 
 def _run_sweep(part: int, max_size: int, progress=None) -> SweepReport:
     patterns, order, finer, _, count = _part(part)
-    if max_size < part:     # the smallest nonempty matching has size 2
+    if check_size(max_size) < part:     # the smallest nonempty matching has size 2
         raise ValueError(f"part {part} needs max_size at least {part}, got {max_size}")
     report = SweepReport(part, max_size)
-    violators: list[Perm] = []
     start = tick = time.perf_counter()
-    for n, members in avoider_levels(PatternSet(patterns, Mode.CLASSICAL), order,
-                                     max_size, violators):
-        # members first: the top level's violators appear as it is consumed
-        visited = sum(1 for _ in members)
-        missed = [tau for tau in violators if tau not in patterns]
-        violators.clear()
+    for n, avoiders, basis in _basis_levels(PatternSet(patterns, Mode.CLASSICAL), order,
+                                            max_size):
+        missed = [tau for tau in basis if tau not in patterns]
         if n == 0 or n % part:      # part 2 has matchings of even size only
             continue
         extra_full = len(missed)
         if missed and finer:
             full = PatternChecker(patterns, finer)
             extra_full = sum(not full.contains_any(tau) for tau in missed)
-        row = SizeRow(n, count(n), visited, len(missed), extra_full, min(missed, default=None))
+        row = SizeRow(n, count(n), avoiders, len(missed), extra_full,
+                      min(missed, default=None))
         report.rows[n] = row
         if progress:
             now = time.perf_counter()

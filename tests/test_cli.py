@@ -182,6 +182,20 @@ def test_verify_mcgovern(capsys):
     assert "equal at all sizes <= 10" in out
 
 
+def test_verify_mcgovern_exits_1_on_a_counterexample(capsys, monkeypatch):
+    # without the two smoothness patterns, a size-6 involution avoids the
+    # set in the two-relation order but contains one of its patterns classically
+    import invpat.mcgovern as mcgovern
+
+    monkeypatch.setattr(mcgovern, "PI_SMOOTH", mcgovern.PI)
+    status, out, _ = run(capsys, "verify-mcgovern", "--part", "1", "--to", "9")
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[-2].startswith("  n=6 ") and lines[-2].endswith(
+        " coarse=57        full=55        UNEQUAL counterexample=216543")
+    assert lines[-1] == "  => EQUALITY FAILS at size 6"
+
+
 @pytest.mark.parametrize("part", ["2", "0"])
 def test_verify_mcgovern_part2_needs_an_even_size(capsys, part):
     status, out, err = run(capsys, "verify-mcgovern", "--part", part, "--to", "1")
@@ -234,6 +248,7 @@ def test_usage_errors(capsys, argv):
     ["identities", "--stanley", "--m", "3", "--to", "10", "--fixed-points", "zzz"],
     ["identities", "--fixed-points", "2143", "--to", "6", "--egf", "zzz"],
     ["count", "--patterns", "1,,2", "--to", "3"],
+    ["identities", "--recurrence", "--m", "7", "--to", "6"],
 ])
 def test_usage_errors_leave_through_main(capsys, argv):
     status, out, err = run(capsys, *argv)

@@ -1,22 +1,23 @@
 import doctest
+from array import array
 from math import comb
 
 import pytest
 
 import invpat.enumeration as enumeration
 from invpat.bijections import heights, iter_motzkin_words
-from invpat.classes import PatternSet, avoider_levels, class_members
+from invpat.classes import PatternSet, avoider_levels, class_members, compute_basis
 from invpat.containment import Mode
-from invpat.core import reverse_complement
+from invpat.core import format_perm, reverse_complement
 from invpat.enumeration import (PolyT, _level_counts, check_corollary_stanley,
                                 check_fixed_point_identity,
-                                check_recurrence_132, count_avoiders,
+                                check_recurrence_132, closed_form, count_avoiders,
                                 count_table, d_series, egf_identity_report,
                                 formula_pattern123, formula_pattern132,
                                 formula_pattern132_poly, formula_pattern2143,
                                 formula_pattern321, involution_count,
                                 matching_count, pq_binomial, pq_bracket)
-from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+from invpat.mcgovern import PI_PRIME, PI_SMOOTH, verify_part1, verify_part2
 from conftest import involution_count_oracle
 
 
@@ -118,14 +119,25 @@ def test_d_series_values():
         assert ds[n](1) == formula_pattern132(n)
 
 
-@pytest.mark.parametrize("p, q, pattern", [
-    (1, -1, (1, 3, 2)), (1, -1, (2, 1, 3)),
-    (1, 0, (3, 4, 1, 2)), (1, 0, (4, 3, 2, 1)),
-    (0, 1, (3, 4, 1, 2)), (0, 1, (4, 3, 2, 1)),
-])
-def test_d_series_counts_avoiders_by_2_cycles(p, q, pattern):
-    # the coefficient of t^k in term n counts the size-n avoiders with k 2-cycles
-    refined = count_table(PatternSet([pattern], Mode.I), Mode.I, 12, True).refined
+_TWO_CYCLE_CASES = [
+    (1, -1, (1, 3, 2), Mode.I), (1, -1, (2, 1, 3), Mode.I),
+    (1, 0, (3, 4, 1, 2), Mode.I), (1, 0, (4, 3, 2, 1), Mode.I),
+    (0, 1, (3, 4, 1, 2), Mode.I), (0, 1, (4, 3, 2, 1), Mode.I),
+    *((p, q, pattern, order) for order in (Mode.IPRIME, Mode.CLASSICAL)
+      for p, q in ((1, 0), (0, 1)) for pattern in ((3, 4, 1, 2), (4, 3, 2, 1))),
+]
+
+
+# the cases in I keep their earlier ids, so selections by id still hold
+@pytest.mark.parametrize("p, q, pattern, order", _TWO_CYCLE_CASES, ids=[
+    f"{p}-{q}-pattern{i}" if order is Mode.I
+    else f"{p}-{q}-{format_perm(pattern)}-{order.value}"
+    for i, (p, q, pattern, order) in enumerate(_TWO_CYCLE_CASES)])
+def test_d_series_counts_avoiders_by_2_cycles(p, q, pattern, order):
+    # the coefficient of t^k in term n counts the size-n avoiders with k
+    # 2-cycles; at (1, 0) and (0, 1) it counts those of 3412 and of 4321 in
+    # I, in I' and classically alike
+    refined = count_table(PatternSet([pattern], order), Mode.I, 12, True).refined
     ds = d_series(p, q, 13)
     for n in range(1, 13):
         by_cycles = [0] * (n // 2 + 1)
@@ -303,17 +315,28 @@ def test_counting_below_the_smallest_pattern_holds_no_level():
         assert peak < 1_000_000, (refine, peak)
 
 
-def test_no_tables_where_nothing_is_checked():
+def test_no_tables_where_nothing_is_checked(monkeypatch):
     # the smallest pattern sits at the top size, so no candidate is ever
-    # checked for closure and the engine holds no image tables: counting
-    # the avoiders of the decreasing pattern of size 11 to 11 holds the
-    # 12,116 involutions of sizes 9 and 10, under half the memory of a
-    # list of the 35,696 size-11 involutions; tables at every level would
-    # take it past half
+    # checked for closure and the engine fills no image table: every array
+    # it makes stays empty.  Counting the avoiders of the decreasing pattern
+    # of size 11 to 11 then holds the 12,116 involutions of sizes 9 and 10,
+    # under half the memory of a list of the 35,696 size-11 involutions.
+    # Tables at every level would stay under that half too, so only the
+    # arrays show them.
+    import invpat.classes as classes
+
+    made = []
+
+    def recorded_array(*args):
+        made.append(array(*args))
+        return made[-1]
+
+    monkeypatch.setattr(classes, "array", recorded_array)
     decreasing = tuple(range(11, 0, -1))
     counting_peak, table, top, list_size = _counting_peak_and_top_list(
         _count_table_to_11([decreasing]))
     assert table.counts[11] == len(top) - 1
+    assert made and not any(made), [len(a) for a in made]
     assert counting_peak < list_size / 2, (counting_peak, list_size)
 
 
@@ -381,3 +404,26 @@ def test_counting_rejects_a_classical_ambient(counter, patterns):
 def test_counting_rejects_a_negative_size(counter, ambient):
     with pytest.raises(ValueError, match="size must be nonnegative"):
         counter(PatternSet([], Mode.I), ambient, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_part1("3"),
+    lambda: verify_part2(None),
+    lambda: compute_basis(PatternSet([(3, 2, 1)], Mode.CLASSICAL), Mode.I, "5"),
+    lambda: count_table(PatternSet([], Mode.F), Mode.F, "3"),
+    lambda: check_corollary_stanley("2", 5),
+    lambda: d_series(1, -1, "3"),
+    lambda: d_series(1, -1, 2.0),
+    lambda: check_recurrence_132("5"),
+    lambda: formula_pattern321("3"),
+    lambda: formula_pattern132_poly("3"),
+    lambda: formula_pattern123(2.5),
+    lambda: closed_form(PatternSet([(2, 1, 4, 3)], Mode.F))(4.0),
+], ids=["verify_part1", "verify_part2", "compute_basis", "count_table",
+        "check_corollary_stanley", "d_series_str", "d_series_float", "check_recurrence_132",
+        "formula_pattern321", "formula_pattern132_poly", "formula_pattern123",
+        "half_factorial"])
+def test_a_size_that_is_not_an_int_is_a_value_error(call):
+    # a size is checked before a comparison with it could raise TypeError
+    with pytest.raises(ValueError, match="size must be an int"):
+        call()
