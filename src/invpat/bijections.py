@@ -253,7 +253,7 @@ def iter_motzkin_words(n: int, levels: str = "any") -> Iterator[str]:
 
 
 def iter_dyck_words(half: int) -> Iterator[str]:
-    return iter_motzkin_words(2 * half, levels="none")
+    return iter_motzkin_words(2 * check_size(half), levels="none")
 
 
 def _label_choices(word: str) -> Iterator[tuple[int, ...]]:

@@ -33,8 +33,13 @@ the test suite checks exhaustively, and on seeded random pairs with
 haystacks of size 10 to 16.
 
 Classical containment compiles each pattern once into the value window
-of each step (:func:`_compile_classical`) and places it depth-first;
-the tests compare it with a scan of every subsequence.  A candidate
+of each step (:func:`_compile_classical`), and a pattern set's steps into
+one prefix tree (:func:`_classical_tree`): patterns whose first k windows
+are identical share one search of those k steps.  One depth-first walk
+of the tree (:func:`_search_classical`) then places the whole set, so a
+haystack is searched once, not once per pattern; a single pattern is a
+one-path tree.  The tests compare it with a scan of every subsequence,
+for single patterns and for sets.  A candidate
 whose one-step deletions all avoid the patterns classically can only
 contain a pattern with at least as many entries as it has units (fixed
 points and 2-cycles); :func:`closed_classical_check` runs only those,
@@ -92,46 +97,86 @@ def _compile_classical(pattern: Perm) -> tuple[tuple[int, int, int, int], ...]:
     Placement runs left to right, so the placed pattern values just below
     and just above ``pattern[k]`` are fixed when the pattern is compiled.
     Step k is ``(lo, dlo, hi, dhi)``: the positions of those neighbours and
-    their value gaps to ``pattern[k]``.  Position ``m`` stands for a
-    virtual value 0 and ``m + 1`` for ``m + 1``; the search stores the
-    haystack's 0 and n + 1 there.  A haystack value w fits iff
+    their value gaps to ``pattern[k]``.  The sentinel slot -2 stands for a
+    virtual value 0 and -1 for m + 1, whatever the pattern's size m, so
+    steps of patterns of different sizes compare equal and one search of
+    a whole set stores the haystack's 0 and n + 1 there.  A haystack value w fits iff
     ``placed[lo] + dlo <= w <= placed[hi] - dhi``: the values the pattern
     puts strictly between the neighbours need room in the haystack too.
     """
-    m = len(pattern)
-    ext = tuple(pattern) + (0, m + 1)
+    ext = tuple(pattern) + (0, len(pattern) + 1)     # ext[-2] = 0, ext[-1] = m + 1
     steps = []
     for k, v in enumerate(pattern):
-        lo = max((j for j in (*range(k), m) if ext[j] < v), key=ext.__getitem__)
-        hi = min((j for j in (*range(k), m + 1) if ext[j] > v), key=ext.__getitem__)
+        lo, hi = -2, -1
+        for j in range(k):
+            if ext[lo] < ext[j] < v:
+                lo = j
+            elif v < ext[j] < ext[hi]:
+                hi = j
         steps.append((lo, v - ext[lo], hi, ext[hi] - v))
     return tuple(steps)
 
 
-def _search_classical(haystack: Perm, steps) -> bool:
-    """Depth-first placement of a compiled pattern in haystack."""
-    m, n = len(steps), len(haystack)
-    if m > n:
-        return False
-    placed = [0] * (m + 2)
-    placed[m + 1] = n + 1
-    last = m - 1
+def _classical_tree(patterns):
+    """
+    The compiled steps of a pattern set as a prefix tree: patterns whose
+    first k steps are identical share the nodes of those k steps, so one
+    search places them all at once.
 
-    def extend(k: int, start: int) -> bool:
-        lo, dlo, hi, dhi = steps[k]
+    Returns whether the empty pattern is in the set, and the nodes of the
+    first steps, in the order of their patterns.  A node is
+    ``[lo, dlo, hi, dhi, rest, end, children]``: its step, the positions
+    its patterns still need after this one, whether it ends a pattern, and
+    the nodes of the next steps.  The first step of a pattern of size m
+    is ``(-2, v, -1, m + 1 - v)``, so only patterns of one size share
+    nodes, and a node that ends a pattern has no children.
+    """
+    roots: list = []
+    nodes = {}                          # steps from the root -> their last node
+    for p in patterns:
+        level, path = roots, ()
+        for k, step in enumerate(_compile_classical(p)):
+            path += (step,)
+            node = nodes.get(path)
+            if node is None:
+                node = nodes[path] = [*step, len(p) - k - 1, False, []]
+                level.append(node)
+            level = node[6]
+        if p:
+            node[5] = True
+    return () in patterns, roots
+
+
+def _search_classical(haystack: Perm, tree) -> bool:
+    """
+    Depth-first placement of every pattern of a :func:`_classical_tree`
+    in haystack at once.  A node scans only the positions that leave room
+    for the rest of its patterns, and a node that ends a pattern answers
+    True at its first fit.
+    """
+    empty, roots = tree
+    n = len(haystack)
+    placed = [0] * (n + 1) + [n + 1]    # slot -2 holds the virtual 0, slot -1 n + 1
+
+    def extend(node, k: int, start: int) -> bool:
+        lo, dlo, hi, dhi, rest, end, children = node
         a = placed[lo] + dlo
         b = placed[hi] - dhi
-        if k == last:
-            return any(a <= w <= b for w in haystack[start:])
-        for p in range(start, n - last + k):
+        if end:
+            for w in haystack[start:]:
+                if a <= w <= b:
+                    return True
+            return False
+        for p in range(start, n - rest):
             w = haystack[p]
             if a <= w <= b:
                 placed[k] = w
-                if extend(k + 1, p + 1):
-                    return True
+                for child in children:
+                    if extend(child, k + 1, p + 1):
+                        return True
         return False
 
-    return m == 0 or extend(0, 0)
+    return empty or any(extend(root, 0, 0) for root in roots)
 
 
 def contains_classical(haystack: Perm, pattern: Perm) -> bool:
@@ -146,7 +191,7 @@ def contains_classical(haystack: Perm, pattern: Perm) -> bool:
     """
     haystack = check_for_mode(haystack, Mode.CLASSICAL)
     pattern = check_for_mode(pattern, Mode.CLASSICAL)
-    return _search_classical(haystack, _compile_classical(pattern))
+    return _search_classical(haystack, _classical_tree([pattern]))
 
 
 def delete_positions(tau: Perm, gone: tuple[int, ...]) -> Perm:
@@ -334,21 +379,28 @@ def contains_fast(tau: Perm, rho: Perm, mode: Mode) -> bool:
 class PatternChecker:
     """
     Containment of a fixed pattern list against many haystacks, with the
-    pattern compilation hoisted out of the loop.  Patterns are tried
-    smallest first.  The patterns are validated once, here; the haystacks
-    passed to :meth:`contains_any` are not.
+    pattern compilation hoisted out of the loop.  The patterns are
+    validated once, here; the haystacks passed to :meth:`contains_any`
+    are not.
+
+    In ``CLASSICAL`` mode the patterns are compiled into one prefix tree
+    (:func:`_classical_tree`), and :meth:`contains_any` is one search of
+    the whole set.  In the deletion orders each pattern gets its own
+    embedding search, smallest first.
     """
 
     def __init__(self, patterns, mode: Mode):
         self.mode = mode
         self.patterns = tuple(sorted((check_for_mode(p, mode) for p in patterns),
                                      key=lambda p: (len(p), p)))
-        compile_ = _compile_classical if mode is Mode.CLASSICAL else _compile_pattern
-        self._compiled = [compile_(p) for p in self.patterns]
+        if mode is Mode.CLASSICAL:
+            self._compiled = _classical_tree(self.patterns)
+        else:
+            self._compiled = [_compile_pattern(p) for p in self.patterns]
 
     def contains_any(self, tau: Perm) -> bool:
         if self.mode is Mode.CLASSICAL:
-            return any(_search_classical(tau, steps) for steps in self._compiled)
+            return _search_classical(tau, self._compiled)
         cyc = _cycle_count(tau)
         return any(_embed(tau, cyc, compiled, self.mode) for compiled in self._compiled)
 
@@ -369,11 +421,12 @@ def _classically_minimal(patterns) -> tuple[Perm, ...]:
     """The distinct patterns that contain no other pattern of the set
     classically, smallest first.  Same-size containment is equality, and
     whatever contains a non-minimal pattern contains a kept one below it,
-    so each pattern is searched for the kept smaller ones only."""
+    so each pattern is searched once, for the tree of the kept smaller
+    ones only."""
     kept: list[Perm] = []
     for p in sorted({check_for_mode(p, Mode.CLASSICAL) for p in patterns},
                     key=lambda p: (len(p), p)):
-        if not any(_search_classical(p, _compile_classical(q)) for q in kept):
+        if not _search_classical(p, _classical_tree(kept)):
             kept.append(p)
     return tuple(kept)
 
@@ -398,8 +451,9 @@ def closed_classical_check(patterns):
     So every occurrence touches every unit, and c contains p only if
     units(c) <= |p|.  The returned test counts the units in one pass, the
     positions i with tau(i) >= i, and runs the checker holding the
-    minimal patterns of size >= units(c); a candidate with more units
-    than the largest minimal pattern is not searched at all.  On any other
+    minimal patterns of size >= units(c): one search of their prefix tree
+    for all of them at once.  A candidate with more units than the
+    largest minimal pattern is not searched at all.  On any other
     haystack the answer may be wrong: (1, 2, 3) contains 12, but so does
     its image (1, 2).  Its one caller is the level engine
     :func:`invpat.classes.avoider_levels`, which checks only closed

@@ -297,8 +297,17 @@ def check_recurrence_132(n_max: int) -> bool:
 # (p,q)-continued fraction
 
 
+def _check_ints(**values: int) -> None:
+    """Raise ValueError naming the first value that is not an int."""
+    for name, v in values.items():
+        if not isinstance(v, int):
+            raise ValueError(f"{name} must be an int, got {v!r}")
+
+
 def pq_bracket(k: int, p: int, q: int) -> int:
     """[k]_{p,q} = sum of p^i q^(k-1-i), an integer for integer p, q."""
+    check_size(k)
+    _check_ints(p=p, q=q)
     return sum(p ** i * q ** (k - 1 - i) for i in range(k))
 
 
@@ -309,6 +318,8 @@ def pq_binomial(n: int, k: int, p: int, q: int) -> int:
     specializations where the bracket quotient degenerates to 0/0
     (notably p=1, q=-1).
     """
+    check_size(n)
+    _check_ints(k=k, p=p, q=q)
     if not 0 <= k <= n:
         return 0
     row = [1]
@@ -341,6 +352,7 @@ def d_series(p: int, q: int, n_max: int) -> list[PolyT]:
     """
     if check_size(n_max) < 1:
         raise ValueError("need at least one term")
+    _check_ints(p=p, q=q)
     level = [pq_bracket(h + 1, p, q) for h in range(n_max)]
     down = [pq_binomial(h + 1, 2, p, q) for h in range(n_max)]
     width = (n_max + 1) // 2            # paths of length n_max - 1 have < width down steps

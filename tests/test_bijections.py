@@ -397,6 +397,13 @@ def test_generators_reject_negative_size():
             list(gen(-1))
 
 
+def test_dyck_generators_name_the_size_they_were_given():
+    # the half size is checked before it is doubled, so "3" is not read as "33"
+    for gen in (iter_dyck_words, iter_labeled_dyck):
+        with pytest.raises(ValueError, match="size must be an int, got '3'$"):
+            list(gen("3"))
+
+
 def test_motzkin_dyck_counts():
     # Motzkin and Catalan numbers
     assert [sum(1 for _ in iter_motzkin_words(n)) for n in range(7)] == \

@@ -68,6 +68,54 @@ def test_compiled_classical_matches_oracle_on_pattern_sets():
     assert _agrees_with_oracle(matchings, PI_PRIME, checked)
 
 
+def _set_agrees_with_oracle(haystacks, pattern_sets) -> bool:
+    """One search of each whole set against every standardized subsequence."""
+    checkers = [(PatternChecker(s, Mode.CLASSICAL), set(s)) for s in pattern_sets]
+    sizes = {len(p) for s in pattern_sets for p in s}
+    for tau in haystacks:
+        seen = {standardize(sub) for k in sizes for sub in combinations(tau, k)}
+        if any(check.contains_any(tau) != bool(s & seen) for check, s in checkers):
+            return False
+    return True
+
+
+def test_pattern_set_tree_matches_oracle_on_permutations():
+    # one search of the set's prefix tree per haystack, on every
+    # permutation to size 7: the McGovern sets, whose patterns of size 8
+    # are longer than every haystack, seeded random sets, a pattern with
+    # its own standardized prefix, duplicates and the empty pattern
+    import random
+
+    rng = random.Random(2701)
+    pool = [p for n in range(1, 6) for p in permutations(range(1, n + 1))]
+    sets = [PI_PRIME, PI_SMOOTH, PI]
+    sets += [[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(40)]
+    sets += [[(2, 4, 1, 5, 3), (2, 3, 1)], [(3, 1, 2), (3, 1, 2)],
+             [(), (2, 1)], [()], [], [tuple(range(9, 0, -1)), (2, 3, 1)]]
+    perms = [p for n in range(8) for p in permutations(range(1, n + 1))]
+    assert _set_agrees_with_oracle(perms, sets)
+
+
+def test_a_pattern_set_is_searched_once_per_haystack(monkeypatch):
+    # PI_PRIME's 17 patterns have 134 steps in all, which share 113 tree
+    # nodes, and contains_any walks that tree once
+    def nodes(tree):
+        return sum(1 + nodes(node[-1]) for node in tree)
+
+    empty, roots = containment._classical_tree(PI_PRIME)
+    assert not empty and nodes(roots) == 113
+    assert sum(map(len, PI_PRIME)) == 134
+    assert nodes(containment._classical_tree([(3, 1, 2)])[1]) == 3
+    searches = []
+    real = containment._search_classical
+    monkeypatch.setattr(containment, "_search_classical",
+                        lambda tau, tree: searches.append(tau) or real(tau, tree))
+    check = PatternChecker(PI_PRIME, Mode.CLASSICAL)
+    matchings = list(generate_fpf(8))
+    hits = [check.contains_any(tau) for tau in matchings]
+    assert searches == matchings and 0 < sum(hits) < len(hits)
+
+
 def test_one_step_down_examples():
     assert one_step_down((2, 1, 4, 3), Mode.I) == {(2, 1), (1, 3, 2), (2, 1, 3)}
     assert one_step_down((2, 1), Mode.IPRIME) == {()}

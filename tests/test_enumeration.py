@@ -109,6 +109,32 @@ def test_pq_helpers():
     assert pq_binomial(3, 5, 2, 3) == 0
 
 
+def test_pq_bracket_rejects_arguments_that_are_not_ints():
+    with pytest.raises(ValueError, match="size must be an int"):
+        pq_bracket("3", 1, 1)
+    with pytest.raises(ValueError, match="q must be an int, got 1.0"):
+        pq_bracket(3, 1, 1.0)
+
+
+def test_pq_binomial_rejects_arguments_that_are_not_ints():
+    with pytest.raises(ValueError, match="size must be an int, got '3'"):
+        pq_binomial("3", 2, 1, 1)
+    with pytest.raises(ValueError, match="k must be an int"):
+        pq_binomial(3, 2.0, 1, 1)
+    with pytest.raises(ValueError, match="p must be an int"):
+        pq_binomial(3, 2, "1", 1)
+
+
+def test_d_series_rejects_p_and_q_that_are_not_ints():
+    # a float p once gave float coefficients and a str p a TypeError
+    with pytest.raises(ValueError, match="p must be an int, got '1'"):
+        d_series("1", -1, 3)
+    with pytest.raises(ValueError, match="p must be an int, got 1.5"):
+        d_series(1.5, 1, 3)
+    with pytest.raises(ValueError, match="q must be an int"):
+        d_series(1, None, 3)
+
+
 def test_d_series_values():
     for p in range(-2, 4):
         ds = d_series(p, -1, 5)
