@@ -4,10 +4,13 @@ Avoidance classes and basis computation.
 A :class:`PatternSet` bundles patterns with the containment order they
 are read in.  One level engine, :func:`avoider_levels`, grows the
 avoiders of a set size by size, each element from a smaller member, and
-keeps a candidate iff its one-step deletions are all members, decided
-by integer lookups of image ids rather than by building the images.
-One candidate loop grows both kinds of element: those whose last cycle
-is a fixed point and those whose last cycle is a 2-cycle.
+keeps a candidate iff its one-step deletions are all members.  That is
+decided once per parent, not per candidate: the AND of bitmasks of the
+slots its images' parents grew, rather than by building the images.
+One pass over the parents grows both kinds of element: those whose last
+cycle is a fixed point and those whose last cycle is a 2-cycle.  The
+top level is never stored, and its ``len()`` counts it from those
+bitmasks, building only the candidates a pattern may exclude.
 Class members (:func:`class_members`) and counts
 (:mod:`invpat.enumeration`) read it, and so does one basis pass, which
 both :func:`compute_basis` and the equality sweeps
@@ -70,6 +73,33 @@ def _checked_floor(ps: PatternSet, ambient: Mode, max_size: int) -> int:
     return min((len(p) for p in ps.patterns), default=max_size + 1)
 
 
+class _TopLevel:
+    """
+    The top level of :func:`avoider_levels`, grown as it is consumed and
+    never stored.  Iterating it grows its members; ``len()`` counts them,
+    adding up each parent's closed slots and building only the candidates
+    that a pattern may exclude.  Only the first use finds the level's
+    violators, so ``list()``, which takes ``len()`` before it iterates,
+    does not find them twice.
+    """
+
+    __slots__ = ("_grow", "_fresh")
+
+    def __init__(self, grow):
+        self._grow = grow           # grow(find the violators, count) -> iterator
+        self._fresh = True
+
+    def _use(self, counting: bool):
+        fresh, self._fresh = self._fresh, False
+        return self._grow(fresh, counting)
+
+    def __iter__(self):
+        return self._use(False)
+
+    def __len__(self) -> int:
+        return sum(self._use(True))
+
+
 def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
                    violators: list[Perm] | None = None):
     """
@@ -91,41 +121,58 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     and the images of a size-floor candidate lie below it, so closure can
     fail only above the floor.
 
-    Closure is decided by image pointers: no image is built or hashed.  A
-    member is named by its index in its level.  Deleting U from c gives
-    sigma, a member.  Deleting another unit u gives the member sigma - u
-    with U put back at slot s - #(positions of u below s).  In ``I``, the
-    collapse of sigma's adjacent 2-cycle (a, a+1) deletes position a+1
-    and is lost when s = a+1, and U = (n-1, n) adds the collapse image
-    sigma + (n-1,).  So c is closed iff each (id of sigma - u, slot)
-    names a member one or two sizes down.  To look that up, when some
-    size above the floor is checked, every level below ``max_size`` holds
-    two integer arrays: the size-m member grown from (parent id, slot) at
-    index parent id * m + slot (-1 where none grew), and the members'
-    runs back to back, in member order, each its images' ids ordered by
-    the last position of the deleted unit, so U's images come last.
-    Every member gets its run from its own check, which always passes up
-    to the floor; when no size above the floor is checked, no table is
-    held and nothing is checked.  One loop grows the candidates of both
-    kinds of U, slot 0 with the key formula of slots 1..n-1; it walks
-    each parent once and reads its run in step, so the runs need no
-    offsets.  The candidate tuple is built only for closed candidates.
+    Closure is decided once per parent, by bit operations on image
+    pointers: no image is built or hashed.  A member is named by its index
+    in its level.  Deleting U from c gives sigma, a member.  Deleting
+    another unit u, at positions lo (and hi) of sigma, gives the member
+    sigma - u with U put back at slot s - (lo < s) - (hi < s).  In ``I``,
+    the collapse of sigma's adjacent 2-cycle (a, a+1) deletes position
+    a+1 and is lost when s = a+1, and U = (n-1, n) adds the collapse image
+    sigma + (n-1,).  So c is closed iff each (id of sigma - u, slot) names
+    a member one or two sizes down.  To look that up, when some size above
+    the floor is checked, every level below ``max_size`` holds a table:
+    the size-m member grown from (parent id, slot) at index parent id * m
+    + slot (-1 where none grew); per parent id, its *grown slots*, an int
+    whose bit s is set iff a member grew from (parent, s); and the
+    members' runs back to back, in member order, each its images' ids
+    ordered by the last position of the deleted unit, so U's images come
+    last.  Sigma's closed slots are then the AND, over its images, of
+    each image's grown slots spread onto sigma's slots (bit lo doubled,
+    then bit hi), with the slot that loses a collapse set, and in ``I``
+    with slot n-1 cleared unless sigma + (n-1,) grew.  A fixed-point
+    parent needs bit 0 of each image's grown slots.  Only the closed slots
+    are visited, and only below ``max_size`` are their image ids looked
+    up, to record each member's run.  Every member gets its run from its
+    own check, which always passes up to the floor; when no size above
+    the floor is checked, no table is held and nothing is checked.  The
+    parents of both kinds of U are walked once each, in one pass that
+    reads their runs in step, so the runs need no offsets.  The candidate
+    tuple is built only for closed candidates.
 
-    A classical set is checked only where a pattern can still occur.
-    Every candidate that reaches the check is closed, so its one-step
-    images all avoid the patterns; deleting a *unit* (a fixed point or a
-    2-cycle) is a one-step deletion in every order, so an occurrence of p
-    that missed a unit would survive into an image.  Every occurrence
-    therefore touches every unit, and p is tried only on candidates with
-    at most |p| units (:func:`invpat.containment.closed_classical_check`):
-    none above twice the largest pattern size is searched.  If the set's
-    minimal patterns are closed under reverse-complement, a candidate's
-    mirror, which has the same size and answer, is not searched again.
+    A candidate is screened only where a pattern can exclude it: for a
+    deletion-order set, at the pattern sizes.  A classical set is checked
+    only where a pattern can still occur.  Every candidate that reaches
+    the check is closed, so its one-step images all avoid the patterns;
+    deleting a *unit* (a fixed point or a 2-cycle) is a one-step deletion
+    in every order, so an occurrence of p that missed a unit would survive
+    into an image.  Every occurrence therefore touches every unit, and p
+    is tried only on candidates with at most |p| units
+    (:func:`invpat.containment.closed_classical_check`, whose ``largest``
+    is the largest minimal pattern size).  A candidate has one unit more
+    than its parent, so the candidates of a parent with ``largest`` units
+    or more are not screened at all, and none above twice that size is
+    searched.  If the set's minimal patterns are closed under
+    reverse-complement, a candidate's mirror, which has the same size and
+    answer, is not searched again.
 
     Only two levels are held.  Levels below ``max_size`` are lists; the
-    top level is an iterator that grows its members as it is consumed,
-    never stored.  A deletion-order set read in the matchings is grown
-    in the involutions and filtered.
+    top level is a view grown as it is consumed, never stored.  Iterating
+    it yields its members.  Its ``len()`` adds up the closed slots of each
+    parent that needs no screen and builds only the screened candidates,
+    so counting builds no member that no pattern can exclude.  A
+    deletion-order set read in the matchings is grown in the involutions
+    and filtered; its top level counts only the 2-cycles grown on
+    matchings.
 
     >>> found = []
     >>> ps = PatternSet([(3, 2, 1)], Mode.CLASSICAL)
@@ -138,9 +185,15 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     if ps.mode is Mode.CLASSICAL:
         order = ambient
         excluded = closed_classical_check(ps.patterns)
+        # a candidate with more units than the largest minimal pattern, so
+        # any of size above twice it, contains none
+        largest = excluded.largest
+        screens = range(floor, 2 * largest + 1)
     else:
         order = ps.mode
         excluded = ps.patterns.__contains__
+        largest = max_size + 1      # more units than any candidate has
+        screens = {len(p) for p in ps.patterns}
     fpf_only = ambient is Mode.F and order is not Mode.F
     collapse_ok = order is Mode.I
     # closure is checked, and the levels below max_size hold tables, at
@@ -148,97 +201,151 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     check = floor < max_size
     past = max_size + 1             # stands for "no second deleted position"
 
-    def grow(n: int, last, older, below, table):
+    def closed(n: int, last, older, below, keep: bool):
+        """Yield ``(j, sigma, slots, refs)`` for each parent sigma of a
+        size-n candidate, j its id: bit s of ``slots`` is set iff the
+        candidate of slot s is closed.  If ``keep``, ``refs`` lists where
+        each candidate's images are keyed, in run order: for each image,
+        the deleted positions lo and hi, the slot that loses it or -1, a
+        kids map and the key's base."""
+        if check:
+            (last_kids, last_masks, _), (older_kids, older_masks, _) = below
+        refs = None
+        # U is the fixed point n (slot 0) or the 2-cycle (s, n) (slot s)
+        for drop, parents, every_slot in ((1, () if order is Mode.F else last, 1),
+                                          (2, older, (1 << n) - 2)):
+            # each parent's run holds one id per image, in refs order
+            ids = iter(below[drop - 1][2]) if check else None
+            # the image of slot s is grown at slot s - (lo < s) - (hi < s) of
+            # its own parent, so its grown slots are spread onto ours by
+            # doubling bit lo and bit hi; slot 0 keeps its place
+            spread = drop == 2
+            for j, sigma in enumerate(parents):
+                slots = every_slot
+                if not check:
+                    yield j, sigma, slots, refs
+                    continue
+                if keep:
+                    refs = []
+                for i, v in enumerate(sigma, 1):
+                    if v > i:
+                        continue
+                    k = next(ids)
+                    if v == i:
+                        g = last_masks[k]
+                        if keep:
+                            refs.append((i, past, -1, last_kids, k * (n - 1)))
+                    else:
+                        g = older_masks[k]
+                        if keep:
+                            refs.append((v, i, -1, older_kids, k * (n - 2)))
+                        if spread:
+                            g = (g & ((2 << v) - 1)) | ((g >> v) << (v + 1))
+                    if spread:
+                        g = (g & ((2 << i) - 1)) | ((g >> i) << (i + 1))
+                    slots &= g
+                    if collapse_ok and v == i - 1:
+                        # in I, the collapse of (v, i), lost at slot i
+                        k = next(ids)
+                        g = last_masks[k]
+                        if keep:
+                            refs.append((i, past, i, last_kids, k * (n - 1)))
+                        if spread:
+                            g = (g & ((2 << i) - 1)) | ((g >> i) << (i + 1)) | (1 << i)
+                        slots &= g
+                # in I, U = (n-1, n) also collapses, to sigma + (n-1,)
+                if spread and collapse_ok and not last_masks[j] & 1:
+                    slots &= ~(1 << (n - 1))
+                yield j, sigma, slots, refs
+
+    def candidates(n: int, sigma: Perm, slots: int):
+        """Yield ``(s, tau)`` for each set bit s of ``slots``: tau is sigma
+        grown by the fixed point n (slot 0) or the 2-cycle (s, n)."""
+        if slots & 1:
+            yield 0, sigma + (n,)
+            return
+        # up is sigma with every value >= t raised by one; moving to t + 1
+        # lowers the value t back, at position sigma[t - 1]
+        up = [w + 1 for w in sigma]
+        t = 1
+        while slots:
+            s = (slots & -slots).bit_length() - 1
+            slots &= slots - 1
+            while t < s:
+                up[sigma[t - 1] - 1] = t
+                t += 1
+            yield s, (*up[:s - 1], n, *up[s - 1:], s)
+
+    def grow(n: int, last, older, below, table, found_in, counting=False):
         """Yield the size-n members, checked against the tables ``below`` of
-        sizes n-1 and n-2.  With a ``table`` (kids, runs), record each
-        member's key (parent id, slot) and its image ids."""
+        sizes n-1 and n-2, and append the excluded closed candidates to
+        ``found_in`` if given.  With a ``table`` (kids, masks, runs),
+        record each member's key (parent id, slot), its parent's grown
+        slots and its image ids.  Counting, yield instead how many members
+        each parent grows, growing only the candidates a pattern may
+        exclude."""
         if n == 0:
             if floor > 0 or not excluded(()):
-                yield ()
-            elif violators is not None:
-                violators.append(())
+                yield 1 if counting else ()
+            elif found_in is not None:
+                found_in.append(())
             return
-        screen = n >= floor
-        kids, runs = table or (None, None)
+        kids, masks, runs = table or (None, None, None)
+        if kids is not None:
+            last_kids = below[0][0]
+        top = n - 1 if collapse_ok and n > 1 else -1
+        screen_size = n in screens
         found = 0
-        if check:
-            (last_kids, _), (older_kids, _) = below
-
-        def images(sigma: Perm, ids) -> list[tuple]:
-            """Sigma's one-step images in run order, each as (deleted
-            positions lo and hi, the slot that loses it or -1, and where a
-            candidate's matching image is keyed: a kids map and the key's
-            base), taking each image's id from ``ids``."""
-            out = []
-            for i, v in enumerate(sigma, 1):
-                if v == i:
-                    out.append((i, past, -1, last_kids, next(ids) * (n - 1)))
-                elif v < i:
-                    out.append((v, i, -1, older_kids, next(ids) * (n - 2)))
-                    if collapse_ok and v == i - 1:
-                        out.append((i, past, i, last_kids, next(ids) * (n - 1)))
-            return out
-
-        # U is the fixed point n (slot 0) or the 2-cycle (s, n) (slot s)
-        for drop, parents, slots in ((1, () if order is Mode.F else last, (0,)),
-                                     (2, older, range(1, n))):
-            # each parent's run holds one id per image, in images() order
-            ids_in = iter(below[drop - 1][1]) if check else None
-            # in I, U = (n-1, n) also collapses, to sigma + (n-1,)
-            top = n - 1 if drop == 2 and collapse_ok else -1
-            for j, sigma in enumerate(parents):
-                if check:
-                    refs = images(sigma, ids_in)
-                if drop == 2:
-                    # up is sigma with every value >= s raised by one; moving
-                    # to s + 1 lowers the value s back, at position sigma[s - 1]
-                    up = [w + 1 for w in sigma]
-                for s in slots:
-                    if s > 1:
-                        up[sigma[s - 2] - 1] = s - 1
-                    if check:
-                        ids = []
-                        i = 0                   # -1 once an image is not a member
-                        for lo, hi, cut, kid, base in refs:
-                            if s != cut:
-                                i = kid[base + s - (lo < s) - (hi < s)]
-                                if i < 0:
-                                    break
-                                ids.append(i)
-                        if i < 0:
-                            continue
-                        # U ends at n, so its images come last
-                        ids.append(j)
-                        if s == top:
-                            i = last_kids[j * (n - 1)]
-                            if i < 0:
-                                continue
-                            ids.append(i)
-                    tau = (*up[:s - 1], n, *up[s - 1:], s) if s else sigma + (n,)
-                    if screen and excluded(tau):
-                        if violators is not None:
-                            violators.append(tau)
-                        continue
-                    if kids is not None:
-                        kids[j * n + s] = found
-                        runs.extend(ids)
-                    found += 1
-                    yield tau
+        for j, sigma, slots, refs in closed(n, last, older, below, kids is not None):
+            # a candidate has one unit more than its parent
+            screen = screen_size and sum(v > i for i, v in enumerate(sigma)) < largest
+            if counting and not screen:
+                if fpf_only:        # only a 2-cycle grown on a matching is one
+                    slots = slots & -2 if is_fpf(sigma) else 0
+                yield slots.bit_count()
+                continue
+            for s, tau in candidates(n, sigma, slots):
+                if screen and excluded(tau):
+                    if found_in is not None:
+                        found_in.append(tau)
+                    continue
+                if counting:
+                    yield not fpf_only or is_fpf(tau)
+                    continue
+                if kids is not None:
+                    kids[j * n + s] = found
+                    masks[j] |= 1 << s
+                    runs.extend([kid[base + s - (lo < s) - (hi < s)]
+                                 for lo, hi, cut, kid, base in refs if s != cut])
+                    # U ends at n, so its images come last
+                    runs.append(j)
+                    if s == top:
+                        runs.append(last_kids[j * (n - 1)])
+                found += 1
+                yield tau
 
     older: list[Perm] = []
     last: list[Perm] = []
-    older_tables = last_tables = (array("i"), array("i"))     # sizes -2 and -1: empty
+    older_tables = last_tables = (array("i"), [], array("i"))     # sizes -2 and -1: empty
     for n in range(max_size):
         tables = None
         if check:
-            # key parent id * n + slot -> id, -1 where no member grew
-            tables = (array("i", [-1]) * (max(len(last), len(older)) * n), array("i"))
-        level = list(grow(n, last, older, (last_tables, older_tables), tables))
+            # key parent id * n + slot -> id, -1 where no member grew; per
+            # key parent, the bitmask of its grown slots
+            keys = max(len(last), len(older))
+            tables = (array("i", [-1]) * (keys * n), [0] * keys, array("i"))
+        level = list(grow(n, last, older, (last_tables, older_tables), tables, violators))
         yield n, [tau for tau in level if is_fpf(tau)] if fpf_only else level
         older, last = last, level
         older_tables, last_tables = last_tables, tables
-    top = grow(max_size, last, older, (last_tables, older_tables), None)
-    yield max_size, filter(is_fpf, top) if fpf_only else top
+    below = (last_tables, older_tables)
+
+    def grow_top(find: bool, counting: bool):
+        members = grow(max_size, last, older, below, None, violators if find else None,
+                       counting)
+        return filter(is_fpf, members) if fpf_only and not counting else members
+
+    yield max_size, _TopLevel(grow_top)
 
 
 def class_members(ps: PatternSet, ambient_mode: Mode, n: int) -> set[Perm]:
@@ -297,13 +404,12 @@ def _basis_levels(pi: PatternSet, ambient: Mode, bound: int):
     :func:`avoider_levels` over the classical avoiders of pi in the
     ambient order: the number of size-n members and the size-n basis
     elements, the closed but excluded candidates, sorted.  Each level is
-    consumed before its violators are read, as the top level finds its
-    own only while it is grown.
+    counted before its violators are read, as the top level finds its
+    own only while it is counted.
     """
     violators: list[Perm] = []
     for n, members in avoider_levels(pi, ambient, bound, violators):
-        count = sum(1 for _ in members)
-        yield n, count, tuple(sorted(violators))
+        yield n, len(members), tuple(sorted(violators))
         violators.clear()
 
 

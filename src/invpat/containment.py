@@ -453,7 +453,9 @@ def closed_classical_check(patterns):
     positions i with tau(i) >= i, and runs the checker holding the
     minimal patterns of size >= units(c): one search of their prefix tree
     for all of them at once.  A candidate with more units than the
-    largest minimal pattern is not searched at all.  On any other
+    largest minimal pattern is not searched at all; the test exposes that
+    size as its ``largest`` attribute, so that the level engine skips the
+    call for such candidates before it makes one.  On any other
     haystack the answer may be wrong: (1, 2, 3) contains 12, but so does
     its image (1, 2).  Its one caller is the level engine
     :func:`invpat.classes.avoider_levels`, which checks only closed
@@ -473,8 +475,8 @@ def closed_classical_check(patterns):
     validated again.
 
     >>> check = closed_classical_check([(1, 2), (3, 2, 1), (1, 3, 2)])
-    >>> check((3, 2, 1)), check((1, 2)), check((1, 2, 3))
-    (True, True, False)
+    >>> check((3, 2, 1)), check((1, 2)), check((1, 2, 3)), check.largest
+    (True, True, False, 3)
     """
     patterns = _classically_minimal(patterns)
     largest = max((len(p) for p in patterns), default=0)
@@ -503,4 +505,5 @@ def closed_classical_check(patterns):
             pending[tau] = verdict
         return verdict
 
+    contains_any.largest = largest
     return contains_any

@@ -61,8 +61,9 @@ def check_permutation(word: Sequence[int]) -> Perm:
 
 
 def check_size(n: int) -> int:
-    """Return n, or raise ValueError if it is not a nonnegative int."""
-    if not isinstance(n, int):
+    """Return n, or raise ValueError if it is not a nonnegative int (a
+    bool is not one)."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"size must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")

@@ -8,19 +8,21 @@ continued-fraction series is no exception: :func:`d_series` counts it
 as weighted Motzkin paths, one step at a time, so ``PolyT`` only holds
 and prints its coefficients.
 Counts of avoiders come from one pass of the level engine
-:func:`invpat.classes.avoider_levels`, which streams the top level
-instead of storing it, so each closed form can be compared against an
-exhaustive tally of every avoider.  Sizes below the smallest pattern
-size are the exception: every element there avoids the set, so their
-count is the ambient count, not a tally, and the engine is not run at
-all when no size asked for reaches the smallest pattern.  For the empty
-set that is every size, so ``invpat count --formula`` on it checks its
-closed form against that ambient count, not a tally.  The fixed-point
-identities tally every size, the empty set's too, so their left side is
-never their right side's formula.  ``FORMULAS`` names the closed forms
-on file by (pattern, order); :func:`closed_form` picks a pattern set's
-or raises ``ValueError``, and ``invpat count --formula`` asks it before
-counting anything.
+:func:`invpat.classes.avoider_levels`, which never stores the top level,
+so each closed form can be compared against an exhaustive tally of
+every avoider.  A plain count takes the top level's ``len()``, which
+adds up each parent's closed slots and builds only the candidates a
+pattern may exclude; the fixed-point refinement iterates its members.
+Sizes below the smallest pattern size are the exception: every element
+there avoids the set, so their count is the ambient count, not a tally,
+and the engine is not run at all when no size asked for reaches the
+smallest pattern.  For the empty set that is every size, so ``invpat
+count --formula`` on it checks its closed form against that ambient
+count, not a tally.  The fixed-point identities tally every size, the
+empty set's too, so their left side is never their right side's formula.
+``FORMULAS`` names the closed forms on file by (pattern, order);
+:func:`closed_form` picks a pattern set's or raises ``ValueError``, and
+``invpat count --formula`` asks it before counting anything.
 """
 from __future__ import annotations
 
@@ -132,16 +134,17 @@ def _tallies(ps: PatternSet, ambient: Mode, n_max: int, refine_by_fixed_points: 
             if refine_by_fixed_points:
                 yield n, dict(Counter(len(fixed_points(tau)) for tau in members))
             else:
-                yield n, sum(1 for _ in members)
+                yield n, len(members)
 
 
 def count_avoiders(ps: PatternSet, ambient: Mode, n: int,
                    refine_by_fixed_points: bool = False):
     """
     Exact number of size-n avoiders; with the refinement flag, a dict
-    keyed by fixed-point count.  The size-n avoiders are counted as they
-    are grown, never stored; below the smallest pattern size nothing is
-    grown, and the count is the ambient count.
+    keyed by fixed-point count.  The size-n avoiders are never stored:
+    the plain count builds only those a pattern may exclude, and the
+    refinement counts them as they are grown; below the smallest pattern
+    size nothing is grown, and the count is the ambient count.
 
     >>> count_avoiders(PatternSet([(2, 1, 4, 3)], Mode.I), Mode.I, 4)
     9
@@ -426,8 +429,9 @@ def check_corollary_stanley(m: int, n_max: int) -> bool:
     >>> check_corollary_stanley(2, 8)
     True
     """
-    if check_size(m) < 1:
+    if isinstance(m, int) and m < 1:
         raise ValueError("m must be positive")
+    check_size(m)
     shift = tuple(range(m + 1, 2 * m + 1)) + tuple(range(1, m + 1))
     dec = tuple(range(2 * m, 0, -1))
     return (_level_counts(PatternSet([shift], Mode.I), Mode.I, n_max)

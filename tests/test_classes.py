@@ -153,12 +153,11 @@ def _tuple_closure_levels(ps, ambient, max_size):
     return levels, sorted(violators)
 
 
-def test_image_pointers_match_tuple_closure(involutions_by_size):
-    # the engine against the tuple-and-set closure it replaced: per-level
-    # members and the violators, on every set of the scan test to 8, on
-    # the paper's sets further up, and with the floor at the top size
-    # (no tables), one below it or two below it, also at top 10, where
-    # the checks fill the tables of every level below the floor
+def _closure_cases(involutions_by_size):
+    """(pattern set, ambient, top size) for the tuple-closure oracle: every
+    set of the scan test to 8, the paper's sets further up, and the floor
+    at the top size (no tables), one below it or two below it, also at top
+    10, where the checks fill the tables of every level below the floor."""
     from invpat.mcgovern import PI_PRIME, PI_SMOOTH
 
     cases = [(ps, ambient, 8) for ps, ambient in _level_cases(involutions_by_size)]
@@ -185,11 +184,44 @@ def test_image_pointers_match_tuple_closure(involutions_by_size):
     for mode in (Mode.I, Mode.IPRIME):
         cases.append((PatternSet([(1, 3, 2)], Mode.CLASSICAL), mode, 13))
     cases.append((PatternSet([(2, 3, 1)], Mode.CLASSICAL), Mode.F, 16))
-    for ps, ambient, top in cases:
+    return cases
+
+
+def test_image_pointers_match_tuple_closure(involutions_by_size):
+    # the engine against the tuple-and-set closure it replaced: per-level
+    # members and the violators, on every case of _closure_cases
+    for ps, ambient, top in _closure_cases(involutions_by_size):
         violators = []
         levels = [set(members) for _, members in avoider_levels(ps, ambient, top, violators)]
         assert (levels, sorted(violators)) == _tuple_closure_levels(ps, ambient, top), \
             (str(ps), ambient, top)
+
+
+def test_top_level_len_matches_tuple_closure(involutions_by_size):
+    # len() of the top level counts it from each parent's closed slots and
+    # builds only the candidates a pattern may exclude: it must give the
+    # oracle's top-level size and, with the levels below, its violators.
+    # Beyond _closure_cases: tops 0 and 1; involution-order sets read in
+    # the matchings, where only a 2-cycle grown on a matching counts, with
+    # the top at, above and below the pattern sizes; and PI_SMOOTH in I',
+    # whose patterns (sizes 4..8) screen every parent at top 8 and none
+    # at top 9
+    from invpat.mcgovern import PI_SMOOTH
+
+    cases = _closure_cases(involutions_by_size)
+    cases += [(ps, ambient, top) for ps, ambient in _level_cases(involutions_by_size)
+              for top in (0, 1)]
+    for mode in (Mode.I, Mode.IPRIME):
+        for pats in ([()], [(1,)], [(2, 1)], [(1, 2)], [(1, 3, 2)], [(2, 1, 4, 3)],
+                     [(3, 4, 1, 2), (1, 2, 3)]):
+            cases += [(PatternSet(pats, mode), Mode.F, top) for top in range(9)]
+    cases += [(PatternSet(PI_SMOOTH, Mode.IPRIME), Mode.IPRIME, top) for top in (8, 9)]
+    for ps, ambient, top in cases:
+        violators = []
+        *_, (_, members) = avoider_levels(ps, ambient, top, violators)
+        count = len(members)
+        levels, want = _tuple_closure_levels(ps, ambient, top)
+        assert (count, sorted(violators)) == (len(levels[top]), want), (str(ps), ambient, top)
 
 
 def test_compute_basis_matches_scan(involutions_by_size, matchings_by_size):

@@ -329,6 +329,12 @@ def test_bijection_labels_need_a_path(capsys):
         assert status == 2 and out == "" and "--omega" in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_stanley_names_m_below_one(capsys, m):
+    status, out, err = run(capsys, "identities", "--stanley", "--m", m, "--to", "4")
+    assert (status, out, err) == (2, "", "error: m must be positive\n")
+
+
 def test_identities(capsys):
     status, out, _ = run(capsys, "identities", "--stanley", "--m", "2",
                          "--to", "10")

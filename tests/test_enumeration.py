@@ -222,6 +222,13 @@ def test_stanley_identity():
         check_corollary_stanley(0, 5)
 
 
+@pytest.mark.parametrize("m", [-1, -5])
+def test_stanley_names_m_for_every_m_below_one(m):
+    # a negative m is not a "size must be nonnegative" error: m is named
+    with pytest.raises(ValueError, match="m must be positive"):
+        check_corollary_stanley(m, 5)
+
+
 def test_egf_identity():
     rows = egf_identity_report(PatternSet([(2, 1, 4, 3)], Mode.F), 9)
     assert all(ok for *_, ok in rows)
@@ -445,10 +452,12 @@ def test_counting_rejects_a_negative_size(counter, ambient):
     lambda: formula_pattern132_poly("3"),
     lambda: formula_pattern123(2.5),
     lambda: closed_form(PatternSet([(2, 1, 4, 3)], Mode.F))(4.0),
+    lambda: count_table(PatternSet([(2, 1)], Mode.I), Mode.I, True),
+    lambda: compute_basis(PatternSet([(1, 2)], Mode.CLASSICAL), Mode.F, True),
 ], ids=["verify_part1", "verify_part2", "compute_basis", "count_table",
         "check_corollary_stanley", "d_series_str", "d_series_float", "check_recurrence_132",
         "formula_pattern321", "formula_pattern132_poly", "formula_pattern123",
-        "half_factorial"])
+        "half_factorial", "count_table_bool", "compute_basis_bool"])
 def test_a_size_that_is_not_an_int_is_a_value_error(call):
     # a size is checked before a comparison with it could raise TypeError
     with pytest.raises(ValueError, match="size must be an int"):
