@@ -28,6 +28,7 @@ no ``--format``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .classes import PatternSet, compute_basis
@@ -186,7 +187,22 @@ def positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """
+    The ``invpat`` parser, built on the first call and returned again on
+    every later one.  :func:`main` may be called many times in one
+    process, as a batch of jobs does, and so builds its parser once per
+    process.  The parser holds only constants, and ``parse_args`` returns
+    a new namespace each time, so no state carries from one call to the
+    next; a caller that changes the returned parser changes it for every
+    later call.  (This note is not in the module docstring, which is the
+    parser's ``--help`` description.)
+
+    ``set_defaults(fn=cmd_*)`` binds the command functions at the first
+    build: a caller that patches ``cli.cmd_*`` must call
+    ``build_parser.cache_clear()`` for the patch to take effect.
+    """
     top = argparse.ArgumentParser(prog="invpat", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

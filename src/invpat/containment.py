@@ -452,8 +452,10 @@ def closed_classical_check(patterns):
     units(c) <= |p|.  The returned test counts the units in one pass, the
     positions i with tau(i) >= i, and runs the checker holding the
     minimal patterns of size >= units(c): one search of their prefix tree
-    for all of them at once.  A candidate with more units than the
-    largest minimal pattern is not searched at all; the test exposes that
+    for all of them at once.  Unit counts that select the same patterns
+    share one checker, so ``PI_PRIME`` builds two trees and ``PI_SMOOTH``
+    one.  A candidate with more units than the largest minimal pattern is
+    not searched at all; the test exposes that
     size as its ``largest`` attribute, so that the level engine skips the
     call for such candidates before it makes one.  On any other
     haystack the answer may be wrong: (1, 2, 3) contains 12, but so does
@@ -480,8 +482,13 @@ def closed_classical_check(patterns):
     """
     patterns = _classically_minimal(patterns)
     largest = max((len(p) for p in patterns), default=0)
-    by_units = [PatternChecker([p for p in patterns if len(p) >= u], Mode.CLASSICAL)
-                for u in range(largest + 1)]
+    checkers: dict[tuple[Perm, ...], PatternChecker] = {}
+    by_units = []
+    for u in range(largest + 1):
+        subset = tuple(p for p in patterns if len(p) >= u)
+        if subset not in checkers:
+            checkers[subset] = PatternChecker(subset, Mode.CLASSICAL)
+        by_units.append(checkers[subset])
     shared = {reverse_complement(p) for p in patterns} == set(patterns)
     pending: dict[Perm, bool] = {}      # searched, mirror not yet asked
     size = -1

@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from invpat.cli import main
+from invpat.cli import build_parser, main
 from invpat.containment import Mode
 from invpat.enumeration import FORMULAS
 
@@ -355,3 +357,54 @@ def test_invalid_input_is_a_clean_error(capsys):
     status, _, err = run(capsys, "count", "--patterns", "zzz", "--mode", "I",
                          "--to", "3")
     assert status == 2 and "error" in err
+
+
+# one job of each kind: plain and formula counts in text and rows, a
+# basis, a sweep, a bijection, an argparse usage error (SystemExit 2) and
+# a ValueError that main reports
+MIX = [
+    ["count", "--patterns", "321", "--mode", "I", "--to", "7", "--formula"],
+    ["count", "--patterns", "2143", "--mode", "F", "--to", "8", "--formula",
+     "--format", "rows"],
+    ["basis", "--patterns", "2143 1324", "--ambient", "Iprime", "--format", "rows"],
+    ["verify-mcgovern", "--part", "1", "--to", "8"],
+    ["bijection", "--omega", "563412"],
+    ["count", "--patterns", "321", "--to", "0"],
+    ["count", "--patterns", "", "--mode", "F", "--to", "1"],
+]
+
+
+def outcome(capsysbinary, argv):
+    """Exit status (or SystemExit code), stdout and stderr of one main call."""
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:
+        status = ("exit", exc.code)
+    out = capsysbinary.readouterr()
+    return status, out.out, out.err
+
+
+def test_repeated_main_calls_share_nothing_but_the_parser(monkeypatch, capsysbinary):
+    # the mix run twice in one process, forwards then backwards, on one
+    # cached parser, against each job run on a parser of its own; the
+    # cached pass builds the top parser and one per subcommand on its
+    # first call and none after
+    fresh = {}
+    for argv in MIX:
+        build_parser.cache_clear()
+        fresh[tuple(argv)] = outcome(capsysbinary, argv)
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    jobs = MIX + MIX[::-1]
+    assert [outcome(capsysbinary, argv) for argv in jobs] == \
+        [fresh[tuple(argv)] for argv in jobs]
+    assert len(built) == 6
+    assert fresh[tuple(MIX[-2])][0] == ("exit", 2) and fresh[tuple(MIX[-1])][0] == 2
+    assert all(status == 0 for status, _, _ in list(fresh.values())[:5])

@@ -116,6 +116,28 @@ def test_a_pattern_set_is_searched_once_per_haystack(monkeypatch):
     assert searches == matchings and 0 < sum(hits) < len(hits)
 
 
+def test_a_closed_check_builds_one_tree_per_pattern_subset(monkeypatch):
+    # closed_classical_check picks a checker by the candidate's unit
+    # count; counts that select the same minimal patterns share one, so
+    # PI_PRIME (minimal sizes 6 and 8) builds two and PI_SMOOTH (cut to
+    # 2143 and 1324) builds one
+    built = []
+    real = PatternChecker.__init__
+
+    def counting(self, patterns, mode):
+        real(self, patterns, mode)
+        built.append(self.patterns)
+
+    monkeypatch.setattr(PatternChecker, "__init__", counting)
+    for pats, subsets in ((PI_PRIME, 2), (PI_SMOOTH, 1)):
+        built.clear()
+        check = containment.closed_classical_check(pats)
+        assert len(built) == len(set(built)) == subsets
+        assert built[0] == containment._classically_minimal(pats)
+        assert check(built[0][0]) and not check((1, 2, 3, 4))
+        assert len(built) == subsets
+
+
 def test_one_step_down_examples():
     assert one_step_down((2, 1, 4, 3), Mode.I) == {(2, 1), (1, 3, 2), (2, 1, 3)}
     assert one_step_down((2, 1), Mode.IPRIME) == {()}
