@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 # one_step_down, generate_involutions and generate_fpf stay importable
 # here: bench/tracing.py wraps them by name
-from .containment import (Mode, check_for_mode, closed_classical_check,  # noqa: F401
-                          one_step_down)
+from .containment import (Mode, PatternChecker, _classically_minimal,  # noqa: F401
+                          check_for_mode, one_step_down)
 from .core import (Perm, check_size, format_cycles, format_perm,  # noqa: F401
-                   generate_fpf, generate_involutions, is_fpf)
+                   generate_fpf, generate_involutions, is_fpf, reverse_complement)
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,12 @@ class PatternSet:
 
     def max_size(self) -> int:
         return max((len(p) for p in self.patterns), default=0)
+
+    def basis_bound(self) -> int:
+        """Twice the largest pattern size: no basis element of a classical
+        set in a deletion order is larger (:func:`avoider_levels` says
+        why), so a search to this size finds the whole basis."""
+        return 2 * self.max_size()
 
     def __str__(self) -> str:
         body = ",".join(format_perm(p) for p in self.sorted_patterns())
@@ -150,20 +157,27 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     tuple is built only for closed candidates.
 
     A candidate is screened only where a pattern can exclude it: for a
-    deletion-order set, at the pattern sizes.  A classical set is checked
-    only where a pattern can still occur.  Every candidate that reaches
-    the check is closed, so its one-step images all avoid the patterns;
-    deleting a *unit* (a fixed point or a 2-cycle) is a one-step deletion
-    in every order, so an occurrence of p that missed a unit would survive
-    into an image.  Every occurrence therefore touches every unit, and p
-    is tried only on candidates with at most |p| units
-    (:func:`invpat.containment.closed_classical_check`, whose ``largest``
-    is the largest minimal pattern size).  A candidate has one unit more
-    than its parent, so the candidates of a parent with ``largest`` units
-    or more are not screened at all, and none above twice that size is
-    searched.  If the set's minimal patterns are closed under
-    reverse-complement, a candidate's mirror, which has the same size and
-    answer, is not searched again.
+    deletion-order set, at the pattern sizes.  A classical set is first
+    cut to its classically minimal patterns, which a permutation avoids
+    iff it avoids the set: for the 26 patterns of ``PI_SMOOTH`` only 2143
+    and 1324 remain.  Then one lemma limits the search.  A *unit* of an
+    involution is a fixed point or a 2-cycle, and deleting one is a
+    one-step deletion in every order.  A screened candidate is closed, so
+    its one-step images all avoid the patterns, and an occurrence of p
+    that missed a unit would survive into an image.  So every occurrence
+    touches every unit: a closed candidate contains p only if it has at
+    most |p| units, and so at most 2|p| entries.  Hence no basis element
+    is larger than twice the largest minimal pattern, nor than
+    :meth:`PatternSet.basis_bound`.  A candidate has one unit more than
+    its parent, whose units are counted once.  It is searched, by one
+    :class:`~invpat.containment.PatternChecker` per distinct subset
+    (two for ``PI_PRIME``, one for ``PI_SMOOTH``), only for the minimal
+    patterns with at least that many entries, and not at all when it has
+    more units than the largest.  If the minimal patterns are closed
+    under reverse-complement, a candidate and its mirror, which has as
+    many units, get the same answer: the first of the two met at a size
+    is searched, and its answer is kept until the mirror is met.  For a
+    set that is not, every screened candidate is searched.
 
     Only two levels are held.  Levels below ``max_size`` are lists; the
     top level is a view grown as it is consumed, never stored.  Iterating
@@ -182,17 +196,33 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     [(4, 3, 2, 1)]
     """
     floor = _checked_floor(ps, ambient, max_size)
+    pending: dict[Perm, bool] = {}      # searched at the grown size, mirror not yet met
+
+    def mirrored(search, tau: Perm) -> bool:
+        mirror = tuple(len(tau) + 1 - v for v in reversed(tau))
+        if mirror in pending:
+            return pending.pop(mirror)
+        verdict = search(tau)
+        if mirror != tau:
+            pending[tau] = verdict
+        return verdict
+
     if ps.mode is Mode.CLASSICAL:
         order = ambient
-        excluded = closed_classical_check(ps.patterns)
-        # a candidate with more units than the largest minimal pattern, so
-        # any of size above twice it, contains none
-        largest = excluded.largest
+        minimal = _classically_minimal(ps.patterns)
+        largest = max(map(len, minimal), default=0)
+        # by_units[u] screens a candidate with u + 1 units
+        subsets = [tuple(p for p in minimal if len(p) > u) for u in range(largest)]
+        searches = {subset: PatternChecker(subset, Mode.CLASSICAL).contains_any
+                    for subset in dict.fromkeys(subsets)}
+        if {reverse_complement(p) for p in minimal} == set(minimal):
+            searches = {subset: partial(mirrored, search) for subset, search in searches.items()}
+        by_units = [searches[subset] for subset in subsets]
         screens = range(floor, 2 * largest + 1)
     else:
         order = ps.mode
-        excluded = ps.patterns.__contains__
         largest = max_size + 1      # more units than any candidate has
+        by_units = [ps.patterns.__contains__] * largest
         screens = {len(p) for p in ps.patterns}
     fpf_only = ambient is Mode.F and order is not Mode.F
     collapse_ok = order is Mode.I
@@ -284,8 +314,9 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         slots and its image ids.  Counting, yield instead how many members
         each parent grows, growing only the candidates a pattern may
         exclude."""
+        pending.clear()
         if n == 0:
-            if floor > 0 or not excluded(()):
+            if floor > 0:               # else () is a pattern
                 yield 1 if counting else ()
             elif found_in is not None:
                 found_in.append(())
@@ -298,14 +329,15 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         found = 0
         for j, sigma, slots, refs in closed(n, last, older, below, kids is not None):
             # a candidate has one unit more than its parent
-            screen = screen_size and sum(v > i for i, v in enumerate(sigma)) < largest
-            if counting and not screen:
+            units = sum(v > i for i, v in enumerate(sigma)) if screen_size else largest
+            excluded = by_units[units] if units < largest else None
+            if counting and excluded is None:
                 if fpf_only:        # only a 2-cycle grown on a matching is one
                     slots = slots & -2 if is_fpf(sigma) else 0
                 yield slots.bit_count()
                 continue
             for s, tau in candidates(n, sigma, slots):
-                if screen and excluded(tau):
+                if excluded and excluded(tau):
                     if found_in is not None:
                         found_in.append(tau)
                     continue
@@ -420,8 +452,8 @@ def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> Ba
     each size sorted lexicographically.  ``member_counts`` holds the
     class's size per level from the same pass.
 
-    ``bound`` defaults to twice the largest pattern size, which is
-    enough to find every basis element.
+    ``bound`` defaults to :meth:`PatternSet.basis_bound`, twice the
+    largest pattern size, which is enough to find every basis element.
 
     >>> compute_basis(PatternSet([(3, 2, 1)], Mode.CLASSICAL), Mode.I).all_elements()
     ((3, 2, 1),)
@@ -434,7 +466,7 @@ def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> Ba
         raise ValueError("a basis needs at least one pattern: the empty set's is empty")
     max_pat = pi.max_size()
     if bound is None:
-        bound = 2 * max_pat
+        bound = pi.basis_bound()
     if check_size(bound) < max_pat:
         raise ValueError(f"bound {bound} is below the largest pattern size {max_pat}")
     levels = list(_basis_levels(pi, ambient, bound))

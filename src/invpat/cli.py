@@ -1,5 +1,5 @@
 """
-Batch command-line surface.
+Batch command line for exact enumeration over involutions and matchings.
 
 Subcommands:
 
@@ -196,14 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     process.  The parser holds only constants, and ``parse_args`` returns
     a new namespace each time, so no state carries from one call to the
     next; a caller that changes the returned parser changes it for every
-    later call.  (This note is not in the module docstring, which is the
-    parser's ``--help`` description.)
+    later call.
 
     ``set_defaults(fn=cmd_*)`` binds the command functions at the first
     build: a caller that patches ``cli.cmd_*`` must call
     ``build_parser.cache_clear()`` for the patch to take effect.
     """
-    top = argparse.ArgumentParser(prog="invpat", description=__doc__)
+    # the docstring's reST markup would show in --help: only its plain
+    # first paragraph describes the parser
+    top = argparse.ArgumentParser(prog="invpat", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="avoider counts by size")

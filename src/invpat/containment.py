@@ -26,7 +26,7 @@ takes the left end of a 2-cycle and leaves its right end pending, a
 closer takes the first pending end, and a fixed point takes a fixed
 point or, in ``I``, a whole 2-cycle.  The pending ends are kept in the
 order of their closers and must increase along it, so the first one
-caps the scan.  As positions only grow, no unit is chosen twice and
+caps the scan.  As positions only grow, no cycle is chosen twice and
 nothing lands inside a squashed interval, without any flags.  The two
 tests agree on every pair with haystack size <= 8 in every mode, which
 the test suite checks exhaustively, and on seeded random pairs with
@@ -39,24 +39,14 @@ are identical share one search of those k steps.  One depth-first walk
 of the tree (:func:`_search_classical`) then places the whole set, so a
 haystack is searched once, not once per pattern; a single pattern is a
 one-path tree.  The tests compare it with a scan of every subsequence,
-for single patterns and for sets.  A candidate
-whose one-step deletions all avoid the patterns classically can only
-contain a pattern with at least as many entries as it has units (fixed
-points and 2-cycles); :func:`closed_classical_check` runs only those,
-and only the classically minimal patterns of the set: a pattern that
-contains another pattern of the set is avoided by every avoider of that
-other one, so dropping it changes neither the avoiders nor which
-candidates are closed.  When those minimal patterns are closed under
-reverse-complement, a candidate's mirror is answered from the
-candidate's own search.
+for single patterns and for sets.
 """
 from __future__ import annotations
 
 import enum
 from operator import eq
 
-from .core import (Perm, check_fpf, check_involution, check_permutation,
-                   reverse_complement, standardize)
+from .core import Perm, check_fpf, check_involution, check_permutation, standardize
 
 
 class Mode(enum.Enum):
@@ -314,7 +304,7 @@ def _embed(tau: Perm, cyc: int, compiled, mode: Mode) -> bool:
     haystack by :func:`_cycle_count`); ``compiled`` comes from
     :func:`_compile_pattern`.
 
-    After a check of the unit counts, a depth-first search scans tau
+    After a check of the cycle counts, a depth-first search scans tau
     left to right.  An opener takes the left end q of a 2-cycle (q, v) and
     leaves v pending; a closer takes the first pending end; a fixed point
     takes a fixed point of tau or, in ``I`` only, a whole 2-cycle (q, v)
@@ -324,7 +314,7 @@ def _embed(tau: Perm, cyc: int, compiled, mode: Mode) -> bool:
     and an opener must keep them increasing along it, so kept 2-cycles
     nest and cross in tau as in the pattern.  The first pending end is
     then the smallest and caps every position placed before its closer.
-    Each placement lies beyond the last one and below the cap, so no unit
+    Each placement lies beyond the last one and below the cap, so no cycle
     is chosen twice and nothing lands inside a squashed interval, with no
     flags to keep or undo.
     """
@@ -429,88 +419,3 @@ def _classically_minimal(patterns) -> tuple[Perm, ...]:
         if not _search_classical(p, _classical_tree(kept)):
             kept.append(p)
     return tuple(kept)
-
-
-def closed_classical_check(patterns):
-    """
-    Classical ``contains_any`` for candidates whose one-step deletions
-    all avoid the patterns classically, with the patterns that cannot
-    occur left out.
-
-    First the set is cut to its classically minimal patterns: duplicates
-    go, and so does every pattern that contains a shorter pattern of the
-    set.  A permutation avoids the set iff it avoids the minimal patterns,
-    so the condition on the candidates and the answer on them are both
-    unchanged.  For the 26 patterns of ``PI_SMOOTH`` only 2143 and 1324
-    remain.
-
-    A *unit* of an involution is a fixed point or a 2-cycle, and deleting
-    one is a one-step deletion in ``I``, ``IPRIME`` and ``F``.  If an
-    occurrence of p in such a candidate c left a unit untouched, deleting
-    that unit would keep the occurrence and give an image containing p.
-    So every occurrence touches every unit, and c contains p only if
-    units(c) <= |p|.  The returned test counts the units in one pass, the
-    positions i with tau(i) >= i, and runs the checker holding the
-    minimal patterns of size >= units(c): one search of their prefix tree
-    for all of them at once.  Unit counts that select the same patterns
-    share one checker, so ``PI_PRIME`` builds two trees and ``PI_SMOOTH``
-    one.  A candidate with more units than the largest minimal pattern is
-    not searched at all; the test exposes that
-    size as its ``largest`` attribute, so that the level engine skips the
-    call for such candidates before it makes one.  On any other
-    haystack the answer may be wrong: (1, 2, 3) contains 12, but so does
-    its image (1, 2).  Its one caller is the level engine
-    :func:`invpat.classes.avoider_levels`, which checks only closed
-    candidates.
-
-    If the minimal patterns are closed under reverse-complement (rc, the
-    conjugation by the decreasing permutation), a candidate and its
-    mirror get the same answer: rc keeps the unit count, p is contained
-    in tau iff rc(p) is contained in rc(tau), and so each checker of
-    ``by_units`` holds an rc-closed set.  For such a set the one test
-    searches only the first of each mirror pair asked at one size, keeps
-    its verdict until the mirror is asked, and drops what is left when
-    the size changes.  This holds on every haystack, closed or not.
-    ``PI_SMOOTH``, ``PI`` and ``PI_PRIME`` are all rc-closed; for a set
-    whose cut is not, the test skips the mirrors and searches every
-    candidate.  The mirror is read off the candidate, which is not
-    validated again.
-
-    >>> check = closed_classical_check([(1, 2), (3, 2, 1), (1, 3, 2)])
-    >>> check((3, 2, 1)), check((1, 2)), check((1, 2, 3)), check.largest
-    (True, True, False, 3)
-    """
-    patterns = _classically_minimal(patterns)
-    largest = max((len(p) for p in patterns), default=0)
-    checkers: dict[tuple[Perm, ...], PatternChecker] = {}
-    by_units = []
-    for u in range(largest + 1):
-        subset = tuple(p for p in patterns if len(p) >= u)
-        if subset not in checkers:
-            checkers[subset] = PatternChecker(subset, Mode.CLASSICAL)
-        by_units.append(checkers[subset])
-    shared = {reverse_complement(p) for p in patterns} == set(patterns)
-    pending: dict[Perm, bool] = {}      # searched, mirror not yet asked
-    size = -1
-
-    def contains_any(tau: Perm) -> bool:
-        nonlocal size
-        units = sum(v > i for i, v in enumerate(tau))
-        if units > largest:
-            return False
-        if not shared:
-            return by_units[units].contains_any(tau)
-        n = len(tau)
-        if n != size:
-            pending.clear()
-            size = n
-        mirror = tuple(n + 1 - v for v in reversed(tau))
-        if mirror in pending:
-            return pending.pop(mirror)
-        verdict = by_units[units].contains_any(tau)
-        if mirror != tau:
-            pending[tau] = verdict
-        return verdict
-
-    contains_any.largest = largest
-    return contains_any

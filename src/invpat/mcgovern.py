@@ -22,8 +22,8 @@ counterexamples of size m are the basis elements outside S, smaller
 sizes have none, and the sweep stops at m.
 
 The basis lies below twice the largest pattern size, 16 for both sets
-(:func:`invpat.containment.closed_classical_check` says why), so a sweep
-that reaches it with no counterexample proves equality at every size.  Both
+(:func:`invpat.classes.avoider_levels` says why), so a sweep that
+reaches it with no counterexample proves equality at every size.  Both
 sets are closed under reverse-complement, which keeps cycle type and
 classical containment, so of each mirror pair of candidates only one is
 searched.  The totals per size come from the closed counts, not from a
@@ -138,7 +138,7 @@ class SweepReport:
                    f"UNEQUAL counterexample={format_perm(row.counterexample)}"))
         if not self.equal:
             verdict = f"EQUALITY FAILS at size {len(self.first_counterexample())}"
-        elif self.max_size >= 2 * max(map(len, patterns)):
+        elif self.max_size >= PatternSet(patterns, Mode.CLASSICAL).basis_bound():
             verdict = ("equal at every size (no basis element outside the set "
                        f"to size {self.max_size})")
         else:

@@ -2,6 +2,11 @@ import pytest
 
 from invpat.core import generate_fpf, generate_involutions
 
+# a duplicate, patterns nested in smaller ones (1432 and 21543 contain
+# 321, 21543 contains 2143) and 3412, which contains neither
+NESTED = [(3, 2, 1), (3, 2, 1), (2, 1, 4, 3), (1, 4, 3, 2), (3, 4, 1, 2),
+          (2, 1, 5, 4, 3)]
+
 
 @pytest.fixture(scope="session")
 def involutions_by_size():

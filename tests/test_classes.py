@@ -7,7 +7,7 @@ from invpat.classes import (PatternSet, avoider_levels, class_members,
                             compute_basis)
 from invpat.containment import Mode, PatternChecker, contains_classical, down_set
 from invpat.core import parse_perm
-from conftest import involution_count_oracle
+from conftest import NESTED, involution_count_oracle
 
 TABLE_ROWS = {
     ("123", Mode.I): "123 14523 34125 351624 456123",
@@ -118,13 +118,15 @@ def _tuple_closure_levels(ps, ambient, max_size):
     Oracle: the level engine as it was before image pointers.  Each
     candidate is built as a tuple, and it is closed iff every
     ``_iter_images`` image is in the set of one of the two levels below.
+    A classical set excludes a candidate by one search of the whole set:
+    no minimal cut, no unit cut and no mirrors, unlike the engine.
     Returns the member set of every level and the violators, sorted.
     """
-    from invpat.containment import _iter_images, closed_classical_check
+    from invpat.containment import _iter_images
     from invpat.core import is_fpf
 
     if ps.mode is Mode.CLASSICAL:
-        order, excluded = ambient, closed_classical_check(ps.patterns)
+        order, excluded = ambient, PatternChecker(ps.patterns, Mode.CLASSICAL).contains_any
     else:
         order, excluded = ps.mode, ps.patterns.__contains__
     floor = min((len(p) for p in ps.patterns), default=max_size + 1)
@@ -157,13 +159,20 @@ def _closure_cases(involutions_by_size):
     """(pattern set, ambient, top size) for the tuple-closure oracle: every
     set of the scan test to 8, the paper's sets further up, and the floor
     at the top size (no tables), one below it or two below it, also at top
-    10, where the checks fill the tables of every level below the floor."""
-    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+    10, where the checks fill the tables of every level below the floor.
+    Five classical sets go to 9 in I' and 10 in F, for the screen's
+    minimal cut and mirror sharing: PI_SMOOTH, PI and NESTED are closed
+    under reverse-complement, {132, 321} is not, and {12, 132} is only
+    once cut to {12}."""
+    from invpat.mcgovern import PI, PI_PRIME, PI_SMOOTH
 
     cases = [(ps, ambient, 8) for ps, ambient in _level_cases(involutions_by_size)]
     cases += [(PatternSet(PI_SMOOTH, Mode.IPRIME), Mode.IPRIME, 10),
               (PatternSet(PI_PRIME, Mode.F), Mode.F, 12),
               (PatternSet([(2, 1, 4, 3)], Mode.CLASSICAL), Mode.I, 10)]
+    for pats in (PI_SMOOTH, PI, NESTED, [(1, 3, 2), (3, 2, 1)], [(1, 2), (1, 3, 2)]):
+        cases += [(PatternSet(pats, Mode.CLASSICAL), Mode.IPRIME, 9),
+                  (PatternSet(pats, Mode.CLASSICAL), Mode.F, 10)]
     for top in (6, 7, 8):
         for size in (top, top - 1, top - 2):
             decreasing = tuple(range(size, 0, -1))
@@ -222,6 +231,91 @@ def test_top_level_len_matches_tuple_closure(involutions_by_size):
         count = len(members)
         levels, want = _tuple_closure_levels(ps, ambient, top)
         assert (count, sorted(violators)) == (len(levels[top]), want), (str(ps), ambient, top)
+
+
+def _run_engine(pats, ambient, top, violators=None):
+    """Grow every level of the classical avoiders of pats, each once."""
+    for _, members in avoider_levels(PatternSet(pats, Mode.CLASSICAL), ambient, top,
+                                     violators):
+        for _ in members:
+            pass
+
+
+def test_the_screen_builds_one_tree_per_pattern_subset(monkeypatch):
+    # a classical screen picks a checker by the candidate's unit count;
+    # counts that select the same minimal patterns share one, so PI_PRIME
+    # (minimal sizes 6 and 8) builds two and PI_SMOOTH (cut to 2143 and
+    # 1324) builds one, for the whole run
+    from invpat.containment import _classically_minimal
+    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+
+    built = []
+    real = PatternChecker.__init__
+
+    def counting(self, patterns, mode):
+        real(self, patterns, mode)
+        built.append(self.patterns)
+
+    monkeypatch.setattr(PatternChecker, "__init__", counting)
+    for pats, ambient, subsets in ((PI_PRIME, Mode.F, 2), (PI_SMOOTH, Mode.IPRIME, 1)):
+        built.clear()
+        _run_engine(pats, ambient, 10)
+        assert len(built) == len(set(built)) == subsets
+        assert built[0] == _classically_minimal(pats)
+
+
+def _searches(monkeypatch):
+    """Record (checker patterns, haystack) for every contains_any call, the
+    calls that bench/tracing.py counts."""
+    calls = []
+    real = PatternChecker.contains_any
+    monkeypatch.setattr(PatternChecker, "contains_any",
+                        lambda self, tau: calls.append((self.patterns, tau)) or real(self, tau))
+    return calls
+
+
+def test_the_screen_searches_only_patterns_with_enough_entries(monkeypatch):
+    # a closed candidate with u units contains a pattern only if the
+    # pattern has at least u entries, so every search goes to a checker
+    # whose smallest pattern has at least as many entries as the
+    # candidate has units; NESTED (minimal 321, 2143 and 3412) and PI
+    # (minimal sizes 5 to 8) have candidates on both sides of each cut
+    from invpat.core import fixed_points, two_cycles
+    from invpat.mcgovern import PI, PI_PRIME, PI_SMOOTH
+
+    calls = _searches(monkeypatch)
+    for pats, ambient, top in ((NESTED, Mode.I, 9), (PI, Mode.IPRIME, 10),
+                               (PI_SMOOTH, Mode.IPRIME, 10), (PI_PRIME, Mode.F, 12)):
+        calls.clear()
+        _run_engine(pats, ambient, top)
+        assert calls, pats
+        for patterns, tau in calls:
+            units = len(fixed_points(tau)) + len(two_cycles(tau))
+            assert units <= min(map(len, patterns)), (pats, patterns, tau)
+
+
+def test_the_screen_answers_a_mirror_only_for_an_rc_closed_set(monkeypatch):
+    # for a set whose minimal patterns are closed under reverse-complement,
+    # of a candidate and its mirror only the first met at a size is
+    # searched.  {132} is not closed (rc(132) = 213), so both 132 and 213
+    # are searched, and only 132 is a violator
+    from invpat.core import reverse_complement
+    from invpat.mcgovern import PI_SMOOTH
+
+    calls = _searches(monkeypatch)
+    for pats, ambient, top in ((PI_SMOOTH, Mode.IPRIME, 10), (NESTED, Mode.I, 9)):
+        calls.clear()
+        _run_engine(pats, ambient, top)
+        searched = [tau for _, tau in calls]
+        assert any(reverse_complement(tau) != tau for tau in searched), pats
+        for k, tau in enumerate(searched):
+            assert reverse_complement(tau) == tau or \
+                reverse_complement(tau) not in searched[:k], (pats, tau)
+    calls.clear()
+    violators = []
+    _run_engine([(1, 3, 2)], Mode.I, 3, violators)
+    assert {(1, 3, 2), (2, 1, 3)} <= {tau for _, tau in calls}
+    assert violators == [(1, 3, 2)]
 
 
 def test_compute_basis_matches_scan(involutions_by_size, matchings_by_size):

@@ -408,3 +408,17 @@ def test_repeated_main_calls_share_nothing_but_the_parser(monkeypatch, capsysbin
     assert len(built) == 6
     assert fresh[tuple(MIX[-2])][0] == ("exit", 2) and fresh[tuple(MIX[-1])][0] == 2
     assert all(status == 0 for status, _, _ in list(fresh.values())[:5])
+
+
+def test_help_is_plain_text(capsys):
+    # the module docstring's reST markup stays out of every --help, and
+    # the top level still lists the subcommands
+    commands = ["count", "basis", "verify-mcgovern", "bijection", "identities"]
+    for argv in [["--help"]] + [[command, "--help"] for command in commands]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0, argv
+        assert "``" not in out and ":func:" not in out, argv
+        if argv == ["--help"]:
+            assert all(command in out for command in commands)

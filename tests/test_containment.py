@@ -10,6 +10,7 @@ from invpat.containment import (Mode, PatternChecker, avoids_all, contains,
 from invpat.core import (cycles_from_pairs, generate_fpf, generate_involutions,
                          parse_perm, standardize)
 from invpat.mcgovern import PI, PI_PRIME, PI_SMOOTH
+from conftest import NESTED
 
 
 def test_doctests():
@@ -114,28 +115,6 @@ def test_a_pattern_set_is_searched_once_per_haystack(monkeypatch):
     matchings = list(generate_fpf(8))
     hits = [check.contains_any(tau) for tau in matchings]
     assert searches == matchings and 0 < sum(hits) < len(hits)
-
-
-def test_a_closed_check_builds_one_tree_per_pattern_subset(monkeypatch):
-    # closed_classical_check picks a checker by the candidate's unit
-    # count; counts that select the same minimal patterns share one, so
-    # PI_PRIME (minimal sizes 6 and 8) builds two and PI_SMOOTH (cut to
-    # 2143 and 1324) builds one
-    built = []
-    real = PatternChecker.__init__
-
-    def counting(self, patterns, mode):
-        real(self, patterns, mode)
-        built.append(self.patterns)
-
-    monkeypatch.setattr(PatternChecker, "__init__", counting)
-    for pats, subsets in ((PI_PRIME, 2), (PI_SMOOTH, 1)):
-        built.clear()
-        check = containment.closed_classical_check(pats)
-        assert len(built) == len(set(built)) == subsets
-        assert built[0] == containment._classically_minimal(pats)
-        assert check(built[0][0]) and not check((1, 2, 3, 4))
-        assert len(built) == subsets
 
 
 def test_one_step_down_examples():
@@ -341,57 +320,6 @@ def test_classical_mode_rejects_non_permutations():
     assert contains_fast((2, 1, 3), (1, 2), Mode.CLASSICAL)
 
 
-def test_closed_classical_check_tries_only_patterns_with_enough_entries(
-        involutions_by_size, monkeypatch):
-    # the first set cuts to its minimal patterns 12 and 321 (2143, 14325
-    # and 351624 each contain 12), and the check tries p only where
-    # units(tau) <= |p|, with the units read off the cycles, searching
-    # through PatternChecker.contains_any (which bench/tracing.py counts)
-    # or not at all.  {12, 321} is closed under reverse-complement, so
-    # of a mirror pair tau != rc(tau) of one size only the first asked is
-    # searched; {132, 321} is not (rc(132) = 213), so every tau is
-    from invpat.core import fixed_points, reverse_complement, two_cycles
-
-    nested = [(1, 2), (3, 2, 1), (2, 1, 4, 3), parse_perm("14325"), parse_perm("351624")]
-    calls = []
-    real = PatternChecker.contains_any
-    monkeypatch.setattr(PatternChecker, "contains_any",
-                        lambda self, tau: calls.append(tau) or real(self, tau))
-    for pats, minimal, shared in ((nested, [(1, 2), (3, 2, 1)], True),
-                                  ([(1, 3, 2), (3, 2, 1)], [(1, 3, 2), (3, 2, 1)], False)):
-        check = containment.closed_classical_check(pats)
-        skipped = 0
-        for members in involutions_by_size.values():
-            searched = set()
-            for tau in members:
-                units = len(fixed_points(tau)) + len(two_cycles(tau))
-                mirror = reverse_complement(tau)
-                calls.clear()
-                assert check(tau) == any(contains_classical(tau, p)
-                                         for p in minimal if units <= len(p)), tau
-                search = units <= 3 and not (shared and mirror != tau
-                                             and mirror in searched)
-                assert calls == ([tau] if search else []), tau
-                if search:
-                    searched.add(tau)
-                skipped += units <= 3 and not search
-        assert (skipped > 0) == shared
-
-
-def test_closed_classical_check_shares_only_within_a_closed_set():
-    # 132 contains 132 and its mirror 213 does not: a set that is not
-    # closed under reverse-complement must search both
-    check = containment.closed_classical_check([(1, 3, 2)])
-    assert check((1, 3, 2)) is True
-    assert check((2, 1, 3)) is False
-
-
-# a duplicate, patterns nested in smaller ones (1432 and 21543 contain
-# 321, 21543 contains 2143) and 3412, which contains neither
-NESTED = [(3, 2, 1), (3, 2, 1), (2, 1, 4, 3), (1, 4, 3, 2), (3, 4, 1, 2),
-          (2, 1, 5, 4, 3)]
-
-
 def _minimal_oracle(patterns):
     """The patterns with no other pattern of the set among their subsequences."""
     others = set(patterns)
@@ -410,26 +338,36 @@ def test_classically_minimal_patterns():
     for pats in (PI_SMOOTH, PI, PI_PRIME, NESTED):
         assert set(minimal(pats)) == _minimal_oracle(pats)
     with pytest.raises(ValueError):
-        containment.closed_classical_check([(1, 1)])
+        containment._classically_minimal([(1, 1)])
 
 
 @pytest.mark.parametrize("pats", [PI_SMOOTH, PI, NESTED, [(1, 3, 2), (3, 2, 1)],
                                   [(1, 2), (1, 3, 2)]],
                          ids=["PI_SMOOTH", "PI", "NESTED", "132-321", "12-132"])
 def test_closed_classical_check_matches_full_set_on_closed_candidates(pats):
-    # on every involution to 9 and matching to 10 whose one-step images
-    # all avoid the set classically, the check over the minimal patterns
-    # answers as PatternChecker does over the whole set.  The first three
-    # sets are closed under reverse-complement, {132, 321} is not, and
-    # {12, 132} is only once cut to {12}
+    # on every involution to 9 and matching to 10, the level engine's
+    # classical screen (minimal patterns, unit cut, mirrors) answers as
+    # PatternChecker does over the whole set: its members are the full
+    # set's avoiders, and its violators the candidates the full set
+    # catches whose one-step images all avoid.  The first three sets are
+    # closed under reverse-complement, {132, 321} is not, and {12, 132}
+    # is only once cut to {12}
+    from invpat.classes import PatternSet, avoider_levels
+
     full = PatternChecker(pats, Mode.CLASSICAL).contains_any
-    check = containment.closed_classical_check(pats)
-    pools = [(Mode.IPRIME, t) for n in range(10) for t in generate_involutions(n)]
-    pools += [(Mode.F, t) for n in range(0, 11, 2) for t in generate_fpf(n)]
-    closed = hits = 0
-    for mode, tau in pools:
-        if not any(full(img) for img in one_step_down(tau, mode)):
-            closed += 1
-            hits += full(tau)
-            assert check(tau) == full(tau), tau
-    assert 0 < hits < closed
+    for mode, top, generate in ((Mode.IPRIME, 9, generate_involutions),
+                                (Mode.F, 10, generate_fpf)):
+        violators = []
+        levels = [set(members) for _, members in
+                  avoider_levels(PatternSet(pats, Mode.CLASSICAL), mode, top, violators)]
+        closed = hits = 0
+        for n in range(top + 1):
+            for tau in generate(n):
+                if not any(full(img) for img in one_step_down(tau, mode)):
+                    closed += 1
+                    hits += full(tau)
+            assert levels[n] == {tau for tau in generate(n) if not full(tau)}, (mode, n)
+        assert sorted(violators) == sorted(
+            tau for n in range(top + 1) for tau in generate(n)
+            if full(tau) and not any(full(img) for img in one_step_down(tau, mode)))
+        assert 0 < hits < closed == sum(map(len, levels)) + hits, mode
