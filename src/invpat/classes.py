@@ -16,14 +16,16 @@ Class members (:func:`class_members`) and counts
 both :func:`compute_basis` and the equality sweeps
 (:mod:`invpat.mcgovern`) read size by size.  A basis is
 the set of minimal violators of a classical pattern set inside a
-deletion order; searching up to twice the largest pattern size is
-guaranteed to find all of it.
+deletion order.  None is larger than twice the largest classically
+minimal pattern, so :func:`compute_basis` ends its pass there;
+:meth:`PatternSet.basis_bound`, twice the largest pattern, stays its
+default bound and the sweeps' every-size certificate.
 """
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 # one_step_down, generate_involutions and generate_fpf stay importable
 # here: bench/tracing.py wraps them by name
@@ -54,10 +56,24 @@ class PatternSet:
         return max((len(p) for p in self.patterns), default=0)
 
     def basis_bound(self) -> int:
-        """Twice the largest pattern size: no basis element of a classical
-        set in a deletion order is larger (:func:`avoider_levels` says
-        why), so a search to this size finds the whole basis."""
+        """Twice the largest pattern size: the default bound of
+        :func:`compute_basis`, and the size at which an equality sweep
+        certifies a classical set at every size.  No basis element is
+        larger; the basis pass itself ends at :meth:`_reach`, which is at
+        most this (:func:`avoider_levels` says why)."""
         return 2 * self.max_size()
+
+    @cached_property
+    def _minimal(self) -> tuple[Perm, ...]:
+        """The classically minimal patterns, which a permutation avoids iff
+        it avoids the set, smallest first; found once per set."""
+        return _classically_minimal(self.patterns)
+
+    def _reach(self) -> int:
+        """Twice the largest classically minimal pattern size: the largest
+        size at which the level engine screens a candidate of a classical
+        set, so no basis element is larger."""
+        return 2 * max(map(len, self._minimal), default=0)
 
     def __str__(self) -> str:
         body = ",".join(format_perm(p) for p in self.sorted_patterns())
@@ -167,9 +183,10 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     that missed a unit would survive into an image.  So every occurrence
     touches every unit: a closed candidate contains p only if it has at
     most |p| units, and so at most 2|p| entries.  Hence no basis element
-    is larger than twice the largest minimal pattern, nor than
-    :meth:`PatternSet.basis_bound`.  A candidate has one unit more than
-    its parent, whose units are counted once.  It is searched, by one
+    is larger than twice the largest minimal pattern,
+    :meth:`PatternSet._reach`, and no candidate past it is screened.  A
+    candidate has one unit more than its parent, whose units are counted
+    once.  It is searched, by one
     :class:`~invpat.containment.PatternChecker` per distinct subset
     (two for ``PI_PRIME``, one for ``PI_SMOOTH``), only for the minimal
     patterns with at least that many entries, and not at all when it has
@@ -209,7 +226,7 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
 
     if ps.mode is Mode.CLASSICAL:
         order = ambient
-        minimal = _classically_minimal(ps.patterns)
+        minimal = ps._minimal
         largest = max(map(len, minimal), default=0)
         # by_units[u] screens a candidate with u + 1 units
         subsets = [tuple(p for p in minimal if len(p) > u) for u in range(largest)]
@@ -218,7 +235,7 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         if {reverse_complement(p) for p in minimal} == set(minimal):
             searches = {subset: partial(mirrored, search) for subset, search in searches.items()}
         by_units = [searches[subset] for subset in subsets]
-        screens = range(floor, 2 * largest + 1)
+        screens = range(floor, ps._reach() + 1)
     else:
         order = ps.mode
         largest = max_size + 1      # more units than any candidate has
@@ -403,7 +420,6 @@ class BasisReport:
     search_bound: int
     ambient: Mode
     violated_set: PatternSet
-    member_counts: dict[int, int] = field(default_factory=dict)
 
     def all_elements(self) -> tuple[Perm, ...]:
         return tuple(p for size in sorted(self.elements) for p in self.elements[size])
@@ -448,12 +464,15 @@ def _basis_levels(pi: PatternSet, ambient: Mode, bound: int):
 def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> BasisReport:
     """
     Basis of the class of classical avoiders of pi inside the ambient
-    order: the closed but excluded candidates of :func:`avoider_levels`,
-    each size sorted lexicographically.  ``member_counts`` holds the
-    class's size per level from the same pass.
+    order, up to size ``bound``: the closed but excluded candidates of
+    :func:`avoider_levels`, each size sorted lexicographically.
 
     ``bound`` defaults to :meth:`PatternSet.basis_bound`, twice the
-    largest pattern size, which is enough to find every basis element.
+    largest pattern size, and is reported as the search bound.  The pass
+    itself ends at the bound or at twice the largest classically minimal
+    pattern size, whichever is smaller, since no basis element is larger
+    than that (:func:`avoider_levels` says why): for ``PI_SMOOTH`` the
+    minimal patterns are 2143 and 1324, so the pass ends at 8, not 16.
 
     >>> compute_basis(PatternSet([(3, 2, 1)], Mode.CLASSICAL), Mode.I).all_elements()
     ((3, 2, 1),)
@@ -469,6 +488,5 @@ def compute_basis(pi: PatternSet, ambient: Mode, bound: int | None = None) -> Ba
         bound = pi.basis_bound()
     if check_size(bound) < max_pat:
         raise ValueError(f"bound {bound} is below the largest pattern size {max_pat}")
-    levels = list(_basis_levels(pi, ambient, bound))
-    return BasisReport({n: basis for n, _, basis in levels if basis}, bound, ambient, pi,
-                       {n: count for n, count, _ in levels})
+    levels = _basis_levels(pi, ambient, min(bound, pi._reach()))
+    return BasisReport({n: basis for n, _, basis in levels if basis}, bound, ambient, pi)

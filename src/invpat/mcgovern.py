@@ -10,9 +10,9 @@ cycle-respecting and classical orders coincide for the symplectic set.
 
 Every deletion removes entries, so for a set S and a deletion order X,
 Av_cl(S) is contained in Av_I(S), which is contained in Av_I'(S) (and,
-for matchings, Av_cl(S) in Av_F(S)).  A sweep reads the pass
-:func:`invpat.classes.compute_basis` makes, size by size: the level
-engine grows Av_cl(S) in X (I' for part 1, F for part 2), and the closed
+for matchings, Av_cl(S) in Av_F(S)).  A sweep reads the basis pass of
+:func:`invpat.classes.compute_basis`, size by size, run to the sweep's
+own size: the level engine grows Av_cl(S) in X (I' for part 1, F for part 2), and the closed
 candidates that contain a pattern form the basis of Av_cl(S) in X.  A
 basis element outside S is a counterexample: it is no pattern, and its
 one-step images avoid S.  Conversely, below a counterexample tau of the

@@ -6,7 +6,7 @@ import invpat.classes as classes
 from invpat.classes import (PatternSet, avoider_levels, class_members,
                             compute_basis)
 from invpat.containment import Mode, PatternChecker, contains_classical, down_set
-from invpat.core import parse_perm
+from invpat.core import is_fpf, parse_perm
 from conftest import NESTED, involution_count_oracle
 
 TABLE_ROWS = {
@@ -341,7 +341,9 @@ def test_compute_basis_matches_scan(involutions_by_size, matchings_by_size):
                     want[n] = tuple(minimal)
             report = compute_basis(ps, ambient, bound=8)
             assert report.elements == want, (pat, ambient)
-            assert report.member_counts == avoiders, (pat, ambient)
+            # the class sizes the equality sweeps read from the basis pass
+            counts = {n: count for n, count, _ in classes._basis_levels(ps, ambient, 8)}
+            assert counts == avoiders, (pat, ambient)
 
 
 def test_empty_pattern_set_counts_everything():
@@ -411,12 +413,16 @@ def test_basis_completeness_all_size3_sets(involutions_by_size):
                     assert basis & downs[tau], (pats, tau)
 
 
-def test_basis_lies_below_twice_the_largest_pattern():
+def test_basis_lies_below_twice_the_largest_pattern(involutions_by_size):
     # the bound that lets a finite basis search decide a class at every
     # size: for every nonempty set of patterns of size <= 3 and every
     # size-4 singleton, a search two sizes past twice the largest pattern
     # finds nothing above it, in every deletion order
+    from functools import reduce
     from itertools import combinations, permutations
+    from operator import or_
+
+    from invpat.containment import one_step_down
 
     small = [p for k in (1, 2, 3) for p in permutations(range(1, k + 1))]
     sets = [pats for r in range(1, len(small) + 1) for pats in combinations(small, r)]
@@ -430,6 +436,68 @@ def test_basis_lies_below_twice_the_largest_pattern():
             assert found <= top, (pats, ambient)
             at_bound += found == top
     assert at_bound > 0
+
+    # the engine screens nothing past twice the largest classically minimal
+    # pattern, so the check above holds by construction.  An oracle that
+    # runs no engine: each element of size <= 8 gets a bitmask of the
+    # patterns of small it contains, and a set's minimal violators are the
+    # containers whose one-step images contain none of its patterns.  They
+    # must be the computed basis and lie within 2 * max |M| for M the
+    # set's minimal patterns, which is reached 659 times
+    pool = [t for n in range(9) for t in involutions_by_size[n]]
+    masks = {t: sum(1 << i for i, p in enumerate(small) if contains_classical(t, p))
+             for t in pool}
+    at_reach = 0
+    for ambient in (Mode.I, Mode.IPRIME, Mode.F):
+        family = [t for t in pool if ambient is not Mode.F or is_fpf(t)]
+        below = {t: reduce(or_, (masks[img] for img in one_step_down(t, ambient)), 0)
+                 for t in family}
+        for pats in sets[:511]:
+            bits = sum(1 << small.index(p) for p in pats)
+            want = {t for t in family if masks[t] & bits and not below[t] & bits}
+            minimal = [p for p in pats
+                       if not any(q != p and contains_classical(p, q) for q in pats)]
+            reach = 2 * max(map(len, minimal))
+            got = compute_basis(PatternSet(pats, Mode.CLASSICAL), ambient).all_elements()
+            assert set(got) == want, (pats, ambient)
+            largest = max(map(len, want))
+            assert largest <= reach, (pats, ambient)
+            at_reach += largest == reach
+    assert at_reach == 659
+
+
+def test_the_basis_pass_ends_at_twice_the_largest_minimal_pattern(monkeypatch):
+    # no basis element is larger than 2 * max |M|, M the classically
+    # minimal patterns, so compute_basis grows no level past it (PI_SMOOTH
+    # is cut to 2143 and 1324, {(), 12} to ()), nor past its bound; every
+    # pattern of PI_PRIME is minimal.  The reported bound is the one given,
+    # by default twice the largest pattern
+    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+
+    passes = []
+    monkeypatch.setattr(classes, "avoider_levels",
+                        lambda ps, ambient, max_size, violators=None:
+                        passes.append(max_size) or iter(()))
+    for pats, ambient, bound, length in ((PI_SMOOTH, Mode.I, None, 8),
+                                         (PI_SMOOTH, Mode.IPRIME, None, 8),
+                                         ([(1, 2, 3)], Mode.I, 10, 6),
+                                         ([(), (1, 2)], Mode.I, None, 0),
+                                         (PI_PRIME, Mode.F, None, 16),
+                                         (PI_PRIME, Mode.F, 12, 12)):
+        passes.clear()
+        ps = PatternSet(pats, Mode.CLASSICAL)
+        assert compute_basis(ps, ambient, bound).search_bound == (bound or ps.basis_bound())
+        assert passes == [length], (ps, ambient, bound)
+    monkeypatch.undo()
+
+    # part 1's basis, the same 11 elements of PI_SMOOTH in both orders
+    want = {parse_perm(w) for w in """1324 2143 153624 351426 426153 1657324 4651327
+            5276143 5472163 57681324 65872143""".split()}
+    assert want <= set(PI_SMOOTH)
+    for ambient in (Mode.I, Mode.IPRIME):
+        report = compute_basis(PatternSet(PI_SMOOTH, Mode.CLASSICAL), ambient)
+        assert report.all_elements() == tuple(sorted(want, key=lambda p: (len(p), p)))
+        assert (report.search_bound, report.max_size()) == (16, 8)
 
 
 def test_singleton_equivalence_and_bigger_sets(involutions_by_size):
