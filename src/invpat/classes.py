@@ -196,14 +196,16 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     is searched, and its answer is kept until the mirror is met.  For a
     set that is not, every screened candidate is searched.
 
-    Only two levels are held.  Levels below ``max_size`` are lists; the
-    top level is a view grown as it is consumed, never stored.  Iterating
-    it yields its members.  Its ``len()`` adds up the closed slots of each
-    parent that needs no screen and builds only the screened candidates,
-    so counting builds no member that no pattern can exclude.  A
-    deletion-order set read in the matchings is grown in the involutions
-    and filtered; its top level counts only the 2-cycles grown on
-    matchings.
+    One loop per parent, in ``grow``, decides its closed slots, screens
+    them and grows its candidates.  Only two levels are held.  Levels
+    below ``max_size`` are lists; the top level is a view grown as it is
+    consumed, never stored.  Iterating it yields its members.  Its
+    ``len()`` is the level's size, yielded once by ``grow``: it adds up
+    the closed slots of each parent that needs no screen and builds only
+    the screened candidates, so counting builds no member that no pattern
+    can exclude.  A deletion-order set read in the matchings is grown in
+    the involutions and filtered; its top level counts only the 2-cycles
+    grown on matchings.
 
     >>> found = []
     >>> ps = PatternSet([(3, 2, 1)], Mode.CLASSICAL)
@@ -248,63 +250,6 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     check = floor < max_size
     past = max_size + 1             # stands for "no second deleted position"
 
-    def closed(n: int, last, older, below, keep: bool):
-        """Yield ``(j, sigma, slots, refs)`` for each parent sigma of a
-        size-n candidate, j its id: bit s of ``slots`` is set iff the
-        candidate of slot s is closed.  If ``keep``, ``refs`` lists where
-        each candidate's images are keyed, in run order: for each image,
-        the deleted positions lo and hi, the slot that loses it or -1, a
-        kids map and the key's base."""
-        if check:
-            (last_kids, last_masks, _), (older_kids, older_masks, _) = below
-        refs = None
-        # U is the fixed point n (slot 0) or the 2-cycle (s, n) (slot s)
-        for drop, parents, every_slot in ((1, () if order is Mode.F else last, 1),
-                                          (2, older, (1 << n) - 2)):
-            # each parent's run holds one id per image, in refs order
-            ids = iter(below[drop - 1][2]) if check else None
-            # the image of slot s is grown at slot s - (lo < s) - (hi < s) of
-            # its own parent, so its grown slots are spread onto ours by
-            # doubling bit lo and bit hi; slot 0 keeps its place
-            spread = drop == 2
-            for j, sigma in enumerate(parents):
-                slots = every_slot
-                if not check:
-                    yield j, sigma, slots, refs
-                    continue
-                if keep:
-                    refs = []
-                for i, v in enumerate(sigma, 1):
-                    if v > i:
-                        continue
-                    k = next(ids)
-                    if v == i:
-                        g = last_masks[k]
-                        if keep:
-                            refs.append((i, past, -1, last_kids, k * (n - 1)))
-                    else:
-                        g = older_masks[k]
-                        if keep:
-                            refs.append((v, i, -1, older_kids, k * (n - 2)))
-                        if spread:
-                            g = (g & ((2 << v) - 1)) | ((g >> v) << (v + 1))
-                    if spread:
-                        g = (g & ((2 << i) - 1)) | ((g >> i) << (i + 1))
-                    slots &= g
-                    if collapse_ok and v == i - 1:
-                        # in I, the collapse of (v, i), lost at slot i
-                        k = next(ids)
-                        g = last_masks[k]
-                        if keep:
-                            refs.append((i, past, i, last_kids, k * (n - 1)))
-                        if spread:
-                            g = (g & ((2 << i) - 1)) | ((g >> i) << (i + 1)) | (1 << i)
-                        slots &= g
-                # in I, U = (n-1, n) also collapses, to sigma + (n-1,)
-                if spread and collapse_ok and not last_masks[j] & 1:
-                    slots &= ~(1 << (n - 1))
-                yield j, sigma, slots, refs
-
     def candidates(n: int, sigma: Perm, slots: int):
         """Yield ``(s, tau)`` for each set bit s of ``slots``: tau is sigma
         grown by the fixed point n (slot 0) or the 2-cycle (s, n)."""
@@ -326,52 +271,103 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     def grow(n: int, last, older, below, table, found_in, counting=False):
         """Yield the size-n members, checked against the tables ``below`` of
         sizes n-1 and n-2, and append the excluded closed candidates to
-        ``found_in`` if given.  With a ``table`` (kids, masks, runs),
-        record each member's key (parent id, slot), its parent's grown
-        slots and its image ids.  Counting, yield instead how many members
-        each parent grows, growing only the candidates a pattern may
-        exclude."""
+        ``found_in`` if given.  One loop per parent decides its closed
+        slots, screens them and grows its candidates.  With a ``table``
+        (kids, masks, runs), record each member's key (parent id, slot),
+        its parent's grown slots and its image ids.  Counting, yield
+        instead the level's size once, growing only the candidates a
+        pattern may exclude."""
         pending.clear()
-        if n == 0:
-            if floor > 0:               # else () is a pattern
-                yield 1 if counting else ()
-            elif found_in is not None:
-                found_in.append(())
-            return
         kids, masks, runs = table or (None, None, None)
-        if kids is not None:
-            last_kids = below[0][0]
+        keep = kids is not None
+        if check:
+            (last_kids, last_masks, _), (older_kids, older_masks, _) = below
         top = n - 1 if collapse_ok and n > 1 else -1
         screen_size = n in screens
         found = 0
-        for j, sigma, slots, refs in closed(n, last, older, below, kids is not None):
-            # a candidate has one unit more than its parent
-            units = sum(v > i for i, v in enumerate(sigma)) if screen_size else largest
-            excluded = by_units[units] if units < largest else None
-            if counting and excluded is None:
-                if fpf_only:        # only a 2-cycle grown on a matching is one
-                    slots = slots & -2 if is_fpf(sigma) else 0
-                yield slots.bit_count()
-                continue
-            for s, tau in candidates(n, sigma, slots):
-                if excluded and excluded(tau):
-                    if found_in is not None:
-                        found_in.append(tau)
+        if n == 0:                      # () has no parent
+            if floor > 0:               # else () is a pattern
+                found = 1
+                if not counting:
+                    yield ()
+            elif found_in is not None:
+                found_in.append(())
+        # U is the fixed point n (slot 0) or the 2-cycle (s, n) (slot s)
+        for drop, parents, every_slot in ((1, () if order is Mode.F else last, 1),
+                                          (2, older, (1 << n) - 2)):
+            # each parent's run holds one id per image, in refs order
+            ids = iter(below[drop - 1][2]) if check else None
+            # the image of slot s is grown at slot s - (lo < s) - (hi < s) of
+            # its own parent, so its grown slots are spread onto ours by
+            # doubling bit lo and bit hi; slot 0 keeps its place
+            spread = drop == 2
+            for j, sigma in enumerate(parents):
+                # bit s of slots is set iff the candidate of slot s is closed;
+                # refs lists, in run order, each image's deleted positions lo
+                # and hi, the slot that loses it or -1, a kids map and its
+                # key's base
+                slots = every_slot
+                if keep:
+                    refs = []
+                if check:
+                    for i, v in enumerate(sigma, 1):
+                        if v > i:
+                            continue
+                        k = next(ids)
+                        if v == i:
+                            g = last_masks[k]
+                            if keep:
+                                refs.append((i, past, -1, last_kids, k * (n - 1)))
+                        else:
+                            g = older_masks[k]
+                            if keep:
+                                refs.append((v, i, -1, older_kids, k * (n - 2)))
+                            if spread:
+                                g = (g & ((2 << v) - 1)) | ((g >> v) << (v + 1))
+                        if spread:
+                            g = (g & ((2 << i) - 1)) | ((g >> i) << (i + 1))
+                        slots &= g
+                        if collapse_ok and v == i - 1:
+                            # in I, the collapse of (v, i), lost at slot i
+                            k = next(ids)
+                            g = last_masks[k]
+                            if keep:
+                                refs.append((i, past, i, last_kids, k * (n - 1)))
+                            if spread:
+                                g = (g & ((2 << i) - 1)) | ((g >> i) << (i + 1)) | (1 << i)
+                            slots &= g
+                    # in I, U = (n-1, n) also collapses, to sigma + (n-1,)
+                    if spread and collapse_ok and not last_masks[j] & 1:
+                        slots &= ~(1 << (n - 1))
+                # a candidate has one unit more than its parent
+                units = sum(v > i for i, v in enumerate(sigma)) if screen_size else largest
+                excluded = by_units[units] if units < largest else None
+                if counting and excluded is None:
+                    if fpf_only:        # only a 2-cycle grown on a matching is one
+                        slots = slots & -2 if is_fpf(sigma) else 0
+                    found += slots.bit_count()
                     continue
-                if counting:
-                    yield not fpf_only or is_fpf(tau)
-                    continue
-                if kids is not None:
-                    kids[j * n + s] = found
-                    masks[j] |= 1 << s
-                    runs.extend([kid[base + s - (lo < s) - (hi < s)]
-                                 for lo, hi, cut, kid, base in refs if s != cut])
-                    # U ends at n, so its images come last
-                    runs.append(j)
-                    if s == top:
-                        runs.append(last_kids[j * (n - 1)])
-                found += 1
-                yield tau
+                for s, tau in candidates(n, sigma, slots):
+                    if excluded and excluded(tau):
+                        if found_in is not None:
+                            found_in.append(tau)
+                        continue
+                    if counting:
+                        found += not fpf_only or is_fpf(tau)
+                        continue
+                    if keep:
+                        kids[j * n + s] = found
+                        masks[j] |= 1 << s
+                        runs.extend([kid[base + s - (lo < s) - (hi < s)]
+                                     for lo, hi, cut, kid, base in refs if s != cut])
+                        # U ends at n, so its images come last
+                        runs.append(j)
+                        if s == top:
+                            runs.append(last_kids[j * (n - 1)])
+                    found += 1
+                    yield tau
+        if counting:
+            yield found
 
     older: list[Perm] = []
     last: list[Perm] = []

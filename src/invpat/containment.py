@@ -59,6 +59,8 @@ class Mode(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Mode":
+        if not isinstance(text, str):
+            raise ValueError(f"mode must be given as a string, not {text!r}")
         key = text.strip().lower().replace("'", "prime")
         for mode in cls:
             if mode.value.lower() == key:

@@ -356,6 +356,8 @@ def parse_perm(text: str) -> Perm:
     >>> parse_perm("(1,2)(3)")
     (2, 1, 3)
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a permutation must be parsed from a string, not {text!r}")
     text = text.strip()
     if not text or text == "()":
         return ()

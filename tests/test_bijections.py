@@ -395,6 +395,8 @@ def test_generators_reject_negative_size():
                 iter_andre_paths, iter_laguerre_histories):
         with pytest.raises(ValueError):
             list(gen(-1))
+    with pytest.raises(ValueError, match="levels must be 'any', 'even' or 'none'"):
+        list(iter_motzkin_words(3, "odd"))
 
 
 def test_dyck_generators_name_the_size_they_were_given():
@@ -509,6 +511,8 @@ def test_increasing_tree():
 
 def test_history_examples():
     assert perm_to_history((1,)) == LaguerreHistory((), ())
+    with pytest.raises(ValueError, match="size at least 1"):
+        perm_to_history(())
     got = {perm_to_history(s) for s in ((1, 2), (2, 1))}
     assert got == {LaguerreHistory(("L1",), (1,)),
                    LaguerreHistory(("L2",), (1,))}

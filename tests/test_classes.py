@@ -233,6 +233,31 @@ def test_top_level_len_matches_tuple_closure(involutions_by_size):
         assert (count, sorted(violators)) == (len(levels[top]), want), (str(ps), ambient, top)
 
 
+@pytest.mark.parametrize("pats, ambient, top", [
+    ([(3, 2, 1)], Mode.F, 4),
+    ([(1, 2, 3)], Mode.I, 6),
+    ([(2, 1, 4, 3), (1, 3, 2, 4)], Mode.IPRIME, 8),
+], ids=["321-F-4", "123-I-6", "2143,1324-Iprime-8"])
+def test_top_level_finds_its_violators_once(pats, ambient, top):
+    # only the first use of the top level finds its violators, whether it
+    # counts or iterates: list() and sorted() take len() before they
+    # iterate, and a second len() or a later iteration must not add them
+    # again.  These cases have 1, 2 and 2 top-level violators.
+    ps = PatternSet(pats, Mode.CLASSICAL)
+    levels, want = _tuple_closure_levels(ps, ambient, top)
+    want_top = [p for p in want if len(p) == top]
+    assert want_top
+    uses = [list, sorted, lambda m: (len(m), len(m)), lambda m: (len(m), *m)]
+    for use in uses:
+        violators = []
+        *_, (_, members) = avoider_levels(ps, ambient, top, violators)
+        below = len(violators)
+        use(members)
+        # later uses count and list the level but find nothing more
+        assert len(members) == len(list(members)) == len(levels[top])
+        assert sorted(violators[below:]) == want_top
+
+
 def _run_engine(pats, ambient, top, violators=None):
     """Grow every level of the classical avoiders of pats, each once."""
     for _, members in avoider_levels(PatternSet(pats, Mode.CLASSICAL), ambient, top,
@@ -372,6 +397,8 @@ def test_bound_validation_and_report_surface():
     ps = PatternSet([(3, 2, 1)], Mode.CLASSICAL)
     with pytest.raises(ValueError):
         compute_basis(ps, Mode.I, bound=2)
+    with pytest.raises(ValueError, match="expects a classical pattern set"):
+        compute_basis(PatternSet([(1,)], Mode.I), Mode.I)
     report = compute_basis(ps, Mode.F, bound=8)
     assert report.max_size() == 4
     assert report.search_bound == 8

@@ -56,6 +56,19 @@ def test_count_formula_matchings(capsys):
     assert status == 2 and "fixed point" in err
 
 
+@pytest.mark.parametrize("mode, last", [("I", ["10", "9496", "9496", "yes"]),
+                                        ("F", ["10", "945", "945", "yes"])],
+                         ids=["I", "F"])
+def test_count_formula_of_the_empty_set(capsys, mode, last):
+    # the empty set's closed form is the involution or matching numbers
+    status, out, err = run(capsys, "count", "--patterns", "", "--mode", mode,
+                           "--to", "10", "--formula")
+    assert status == 0, err
+    lines = out.strip().splitlines()
+    assert lines[-1].split() == last
+    assert all(line.endswith("yes") for line in lines[1:])
+
+
 def test_count_matchings_needs_an_even_size(capsys):
     status, out, err = run(capsys, "count", "--patterns", "", "--mode", "F", "--to", "1")
     assert status == 2

@@ -24,6 +24,10 @@ def test_mode_parsing():
     assert Mode.parse("classical") is Mode.CLASSICAL
     with pytest.raises(ValueError):
         Mode.parse("J")
+    # these once leaked AttributeError from str.strip
+    for text in (5, None, b"I"):
+        with pytest.raises(ValueError, match="mode must be given as a string"):
+            Mode.parse(text)
 
 
 def test_contains_classical_examples():

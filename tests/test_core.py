@@ -256,6 +256,16 @@ def test_textual_forms():
     for text in ("1,,2", "1,-2", "2,1,x"):
         with pytest.raises(ValueError, match="cannot parse permutation from"):
             parse_perm(text)
+    # a gap between cycles, a trailing character, a missing entry
+    for text, message in (("(1,2) (3)", "cannot parse cycle form"),
+                          ("(1,2)x", "cannot parse cycle form"),
+                          ("(1,2)(4)", "does not cover 1..n")):
+        with pytest.raises(ValueError, match=message):
+            parse_perm(text)
+    # these once leaked AttributeError from str.strip
+    for text in (None, 21, (2, 1)):
+        with pytest.raises(ValueError, match="must be parsed from a string"):
+            parse_perm(text)
 
 
 @given(st.permutations(list(range(1, 10))))

@@ -30,6 +30,7 @@ def test_polyt_arithmetic():
     assert PolyT((1, 0, 0)).coeffs == (1,)
     assert a(2) == 5
     assert str(PolyT((1, -1, 2))) == "1 - t + 2t^2"
+    assert str(PolyT((1, 0, 1))) == "1 + t^2"
     assert str(PolyT()) == "0"
 
 
@@ -54,8 +55,9 @@ def test_formula_values():
     assert formula_pattern123(1) == 1
     assert formula_pattern2143(4) == 9
     assert formula_pattern2143(0) == 1
-    with pytest.raises(ValueError):
-        formula_pattern321(0)
+    for formula in (formula_pattern321, formula_pattern132_poly, formula_pattern123):
+        with pytest.raises(ValueError):
+            formula(0)
 
 
 def test_count_avoiders_examples():
@@ -143,6 +145,8 @@ def test_d_series_values():
     ds = d_series(1, -1, 13)
     for n in range(1, 13):
         assert ds[n](1) == formula_pattern132(n)
+    with pytest.raises(ValueError, match="need at least one term"):
+        d_series(1, -1, 0)
 
 
 _TWO_CYCLE_CASES = [
