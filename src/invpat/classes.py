@@ -184,8 +184,16 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
     touches every unit: a closed candidate contains p only if it has at
     most |p| units, and so at most 2|p| entries.  Hence no basis element
     is larger than twice the largest minimal pattern,
-    :meth:`PatternSet._reach`, and no candidate past it is screened.  A
-    candidate has one unit more than its parent, whose units are counted
+    :meth:`PatternSet._reach`, and no candidate past it is screened.  The
+    parent alone sharpens this: deleting U from the candidate c gives the
+    parent, a member, so every occurrence touches U.  One through n ends
+    at n; one through s but not n maps under the involution c to an
+    occurrence of p's inverse through n, which ends there.  So c contains
+    a minimal pattern iff some pattern or inverse of one occurs in c with
+    its last entry at position n, and the search pins each one's last
+    entry there and places the others in positions 1..n-1
+    (:meth:`~invpat.containment.PatternChecker.contains_through_last_unit`).
+    A candidate has one unit more than its parent, whose units are counted
     once.  It is searched, by one
     :class:`~invpat.containment.PatternChecker` per distinct subset
     (two for ``PI_PRIME``, one for ``PI_SMOOTH``), only for the minimal
@@ -232,7 +240,7 @@ def avoider_levels(ps: PatternSet, ambient: Mode, max_size: int,
         largest = max(map(len, minimal), default=0)
         # by_units[u] screens a candidate with u + 1 units
         subsets = [tuple(p for p in minimal if len(p) > u) for u in range(largest)]
-        searches = {subset: PatternChecker(subset, Mode.CLASSICAL).contains_any
+        searches = {subset: PatternChecker(subset, Mode.CLASSICAL).contains_through_last_unit
                     for subset in dict.fromkeys(subsets)}
         if {reverse_complement(p) for p in minimal} == set(minimal):
             searches = {subset: partial(mirrored, search) for subset, search in searches.items()}

@@ -38,15 +38,20 @@ one prefix tree (:func:`_classical_tree`): patterns whose first k windows
 are identical share one search of those k steps.  One depth-first walk
 of the tree (:func:`_search_classical`) then places the whole set, so a
 haystack is searched once, not once per pattern; a single pattern is a
-one-path tree.  The tests compare it with a scan of every subsequence,
-for single patterns and for sets.
+one-path tree.  An anchored form of the same walk places each
+pattern's last entry first, at the haystack's last position, and so
+finds only the occurrences that end there
+(:meth:`PatternChecker.contains_through_last_unit`).  The tests compare
+both forms with a scan of every subsequence, for single patterns and
+for sets.
 """
 from __future__ import annotations
 
 import enum
 from operator import eq
 
-from .core import Perm, check_fpf, check_involution, check_permutation, standardize
+from .core import (Perm, check_fpf, check_involution, check_permutation, inverse,
+                   standardize)
 
 
 class Mode(enum.Enum):
@@ -109,7 +114,7 @@ def _compile_classical(pattern: Perm) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(steps)
 
 
-def _classical_tree(patterns):
+def _classical_tree(patterns, anchored: bool = False):
     """
     The compiled steps of a pattern set as a prefix tree: patterns whose
     first k steps are identical share the nodes of those k steps, so one
@@ -121,13 +126,16 @@ def _classical_tree(patterns):
     its patterns still need after this one, whether it ends a pattern, and
     the nodes of the next steps.  The first step of a pattern of size m
     is ``(-2, v, -1, m + 1 - v)``, so only patterns of one size share
-    nodes, and a node that ends a pattern has no children.
+    nodes, and a node that ends a pattern has no children.  Anchored, each
+    pattern is compiled with its last entry moved to the front, so step 0
+    places the last entry and the other steps follow left to right, with
+    windows that already count the last entry's value.
     """
     roots: list = []
     nodes = {}                          # steps from the root -> their last node
     for p in patterns:
         level, path = roots, ()
-        for k, step in enumerate(_compile_classical(p)):
+        for k, step in enumerate(_compile_classical(p[-1:] + p[:-1] if anchored else p)):
             path += (step,)
             node = nodes.get(path)
             if node is None:
@@ -139,15 +147,19 @@ def _classical_tree(patterns):
     return () in patterns, roots
 
 
-def _search_classical(haystack: Perm, tree) -> bool:
+def _search_classical(haystack: Perm, tree, anchored: bool = False) -> bool:
     """
     Depth-first placement of every pattern of a :func:`_classical_tree`
     in haystack at once.  A node scans only the positions that leave room
     for the rest of its patterns, and a node that ends a pattern answers
-    True at its first fit.
+    True at its first fit.  Anchored, for a tree built anchored, step 0
+    takes the haystack's last position and the other steps scan the
+    positions before it, so only occurrences that end there are found:
+    never one of the empty pattern.
     """
     empty, roots = tree
     n = len(haystack)
+    stop = n - anchored                 # the scans end before this position
     placed = [0] * (n + 1) + [n + 1]    # slot -2 holds the virtual 0, slot -1 n + 1
 
     def extend(node, k: int, start: int) -> bool:
@@ -155,11 +167,11 @@ def _search_classical(haystack: Perm, tree) -> bool:
         a = placed[lo] + dlo
         b = placed[hi] - dhi
         if end:
-            for w in haystack[start:]:
+            for w in haystack[start:stop]:
                 if a <= w <= b:
                     return True
             return False
-        for p in range(start, n - rest):
+        for p in range(start, stop - rest):
             w = haystack[p]
             if a <= w <= b:
                 placed[k] = w
@@ -168,7 +180,20 @@ def _search_classical(haystack: Perm, tree) -> bool:
                         return True
         return False
 
-    return empty or any(extend(root, 0, 0) for root in roots)
+    if not anchored:
+        return empty or any(extend(root, 0, 0) for root in roots)
+    if not n:
+        return False
+    # a root's window is (-2, v, -1, m + 1 - v): v <= w <= n + 1 - (m + 1 - v)
+    w = placed[0] = haystack[-1]
+    for _, dlo, _, dhi, _, end, children in roots:
+        if dlo <= w <= n + 1 - dhi:
+            if end:
+                return True
+            for child in children:
+                if extend(child, 1, 0):
+                    return True
+    return False
 
 
 def contains_classical(haystack: Perm, pattern: Perm) -> bool:
@@ -372,13 +397,14 @@ class PatternChecker:
     """
     Containment of a fixed pattern list against many haystacks, with the
     pattern compilation hoisted out of the loop.  The patterns are
-    validated once, here; the haystacks passed to :meth:`contains_any`
-    are not.
+    validated once, here; the haystacks passed to its searches are not.
 
     In ``CLASSICAL`` mode the patterns are compiled into one prefix tree
     (:func:`_classical_tree`), and :meth:`contains_any` is one search of
-    the whole set.  In the deletion orders each pattern gets its own
-    embedding search, smallest first.
+    the whole set; the patterns and their inverses are also compiled into
+    one anchored tree, for :meth:`contains_through_last_unit`.  In the
+    deletion orders each pattern gets its own embedding search, smallest
+    first.
     """
 
     def __init__(self, patterns, mode: Mode):
@@ -387,6 +413,9 @@ class PatternChecker:
                                      key=lambda p: (len(p), p)))
         if mode is Mode.CLASSICAL:
             self._compiled = _classical_tree(self.patterns)
+            both = sorted({*self.patterns, *map(inverse, self.patterns)},
+                          key=lambda p: (len(p), p))
+            self._anchored = _classical_tree(both, anchored=True)
         else:
             self._compiled = [_compile_pattern(p) for p in self.patterns]
 
@@ -395,6 +424,23 @@ class PatternChecker:
             return _search_classical(tau, self._compiled)
         cyc = _cycle_count(tau)
         return any(_embed(tau, cyc, compiled, self.mode) for compiled in self._compiled)
+
+    def contains_through_last_unit(self, tau: Perm) -> bool:
+        """
+        In ``CLASSICAL`` mode only: True if some pattern occurs in the
+        involution tau by an occurrence that touches its last unit, the
+        fixed point n or the 2-cycle (s, n).  Such an occurrence through n
+        ends there; one through s but not n maps under tau to an occurrence
+        of the pattern's inverse through n.  So this is one anchored search
+        of the patterns and their inverses.
+
+        >>> check = PatternChecker([(3, 1, 2)], Mode.CLASSICAL)
+        >>> check.contains_any((4, 2, 3, 1)), check.contains_through_last_unit((4, 2, 3, 1))
+        (True, True)
+        >>> check.contains_any((4, 2, 3, 1, 5)), check.contains_through_last_unit((4, 2, 3, 1, 5))
+        (True, False)
+        """
+        return _search_classical(tau, self._anchored, anchored=True)
 
 
 def avoids_all(tau: Perm, patterns, mode: Mode) -> bool:

@@ -290,11 +290,11 @@ def test_the_screen_builds_one_tree_per_pattern_subset(monkeypatch):
 
 
 def _searches(monkeypatch):
-    """Record (checker patterns, haystack) for every contains_any call, the
-    calls that bench/tracing.py counts."""
+    """Record (checker patterns, haystack) for every search of the engine's
+    screen, which calls contains_through_last_unit."""
     calls = []
-    real = PatternChecker.contains_any
-    monkeypatch.setattr(PatternChecker, "contains_any",
+    real = PatternChecker.contains_through_last_unit
+    monkeypatch.setattr(PatternChecker, "contains_through_last_unit",
                         lambda self, tau: calls.append((self.patterns, tau)) or real(self, tau))
     return calls
 
@@ -341,6 +341,54 @@ def test_the_screen_answers_a_mirror_only_for_an_rc_closed_set(monkeypatch):
     _run_engine([(1, 3, 2)], Mode.I, 3, violators)
     assert {(1, 3, 2), (2, 1, 3)} <= {tau for _, tau in calls}
     assert violators == [(1, 3, 2)]
+
+
+def test_the_anchored_screen_answers_as_the_full_search(monkeypatch):
+    # a screened candidate's parent is a member, so every occurrence of a
+    # minimal pattern touches the candidate's last unit, and the screen
+    # searches only those: the minimal patterns and their inverses, each
+    # ending at the last position.  Every screen of these runs must answer
+    # as contains_any, the search of every occurrence, on the same candidate
+    from itertools import combinations, permutations
+
+    from invpat.containment import _classical_tree, _search_classical
+    from invpat.mcgovern import PI_PRIME, PI_SMOOTH
+
+    wrong, answers, forward_only = [], [], []
+    real = PatternChecker.contains_through_last_unit
+
+    def compared(self, tau):
+        got = real(self, tau)
+        if got != self.contains_any(tau):
+            wrong.append((self.patterns, tau))
+        answers.append(got)
+        # the same search without the inverses
+        forward = _classical_tree(self.patterns, anchored=True)
+        forward_only.append(_search_classical(tau, forward, anchored=True) != got)
+        return got
+
+    monkeypatch.setattr(PatternChecker, "contains_through_last_unit", compared)
+    small = [p for k in (1, 2, 3) for p in permutations(range(1, k + 1))]
+    sets = [pats for r in range(1, len(small) + 1) for pats in combinations(small, r)]
+    sets += [(p,) for p in permutations(range(1, 5))]
+    assert len(sets) == 511 + 24
+    runs = [(pats, ambient, 8) for pats in sets for ambient in (Mode.I, Mode.IPRIME, Mode.F)]
+    runs += [(PI_SMOOTH, Mode.IPRIME, 10), (PI_SMOOTH, Mode.I, 10), (PI_PRIME, Mode.F, 12)]
+    for pats, ambient, top in runs:
+        _run_engine(pats, ambient, top)
+    assert not wrong, wrong[:5]
+    assert 0 < sum(answers) < len(answers)
+    # without the inverses, some screens would answer wrongly
+    assert any(forward_only)
+
+    # {312} in I: 4231 is a basis element, and its only 312 (positions
+    # 1, 2, 3) misses position 4; the 231 of the inverse ends there
+    wrong.clear()
+    violators = []
+    _run_engine([(3, 1, 2)], Mode.I, 4, violators)
+    assert (4, 2, 3, 1) in violators and not wrong
+    tree = _classical_tree([(3, 1, 2)], anchored=True)
+    assert not _search_classical((4, 2, 3, 1), tree, anchored=True)
 
 
 def test_compute_basis_matches_scan(involutions_by_size, matchings_by_size):

@@ -101,6 +101,32 @@ def test_pattern_set_tree_matches_oracle_on_permutations():
     assert _set_agrees_with_oracle(perms, sets)
 
 
+def test_anchored_search_finds_the_occurrences_through_the_last_unit():
+    # contains_through_last_unit against every standardized subsequence
+    # whose positions meet the last unit, the fixed point n or the 2-cycle
+    # (s, n), on every involution to size 8: singletons of size <= 4 (16
+    # are not involutions, so the inverses matter), seeded random
+    # sets, the McGovern sets and the empty pattern, which touches nothing
+    import random
+
+    rng = random.Random(3301)
+    pool = [p for n in range(1, 5) for p in permutations(range(1, n + 1))]
+    sets = [[p] for p in pool] + [PI_SMOOTH, PI_PRIME, [()], [(), (2, 1)]]
+    sets += [[rng.choice(pool) for _ in range(rng.randint(2, 4))] for _ in range(20)]
+    checkers = [(PatternChecker(s, Mode.CLASSICAL), set(s)) for s in sets]
+    sizes = {len(p) for s in sets for p in s}
+    hits = 0
+    for tau in (t for n in range(9) for t in generate_involutions(n)):
+        unit = {len(tau) - 1, tau[-1] - 1} if tau else set()
+        seen = {standardize([tau[i] for i in sub]) for k in sizes
+                for sub in combinations(range(len(tau)), k) if unit & set(sub)}
+        for check, s in checkers:
+            want = bool(s & seen)
+            assert check.contains_through_last_unit(tau) == want, (s, tau)
+            hits += want
+    assert hits > 0
+
+
 def test_a_pattern_set_is_searched_once_per_haystack(monkeypatch):
     # PI_PRIME's 17 patterns have 134 steps in all, which share 113 tree
     # nodes, and contains_any walks that tree once
