@@ -40,36 +40,36 @@ The maps:
 - ``involution_to_andre``: the composite bijection from 132-avoiding
   involutions to even-level paths; level steps count fixed points.
 
-Cost: each step of the chain has one loop, in one private core that
-its public map and one of the composites call.  ``_perm_history`` and
-``_history_perm`` replay the insertions on the one-line word, with no
-tree: the open slots before vertex v are the maximal runs of values
+Cost: each public map is one loop over its input.  ``perm_to_history``
+and ``history_to_perm`` replay the insertions on the one-line word, with
+no tree: the open slots before vertex v are the maximal runs of values
 >= v, named by where each starts (a C-level ``bisect`` finds v's), or
 the segments of placed values between them (v is spliced into one).
-``_history_dyck`` carries a history's labels to the down steps of its
-Dyck path and ``_dyck_history`` carries them back; ``_with_levels``
+``history_to_dyck`` carries a history's labels to the down steps of its
+Dyck path and ``dyck_to_history`` carries them back; ``_with_levels``
 interleaves the level blocks.  Each map checks its input once and
 nothing it returns: what it builds from valid input is valid by
-construction.  The three cores that read a history or a labeled Dyck
-path check it inside their loop, at one comparison per label, since
-the slot list or the stack of waiting U steps already holds the height
-that bounds it; in the composites those comparisons also run on the
-steps passed from one core to the next.  The other maps call a
-validator first: the maps from permutations and involutions those of
-``core``, the level-step maps ``check_labeled_dyck``.  Level steps are
-read, and their heights checked, in one place, ``_level_blocks``, so
-``strip_level_steps`` and ``check_andre`` run the validator on the word
-it strips, as ``andre_to_involution`` runs the cores on it.
+construction.  The maps that read a history or a labeled Dyck path
+check it inside their loop, at one comparison per label, since the slot
+list or the stack of waiting U steps already holds the height that
+bounds it.  The other maps call a validator first: the maps from
+permutations and involutions those of ``core``, the level-step maps
+``check_labeled_dyck``.  Level steps are read, and their heights
+checked, in one place, ``_level_blocks``, so ``strip_level_steps`` and
+``check_andre`` run the validator on the word it strips.
 The slot lists are Python lists, and their C-level search and splice,
 with the C-level search for v in the word, are the only steps that grow
 with the size.
-``involution_to_andre`` rules out 132 by checking that the openers come
-first, in the same pass that reads the composition and the closers.
-``andre_to_involution`` checks the parity of its level steps in the
-pass that reads the composition and leaves the rest to the cores.
-Neither builds a history or a labeled Dyck path.  The path generators
-join each walked prefix to a table of tails, so a word costs one
-string concatenation.
+The composites read each element's steps once per direction and build
+no history or labeled Dyck path.  ``involution_to_andre`` checks tau,
+rules out 132 (the openers come first) and collects the closers and the
+composition in one pass, then writes each closer's step pair and down
+labels in the loop that finds its slot, and checks nothing it built.
+``andre_to_involution`` reads the level blocks, then the Dyck word's
+inner step pairs once, right to left, undoing the insertions on blocks
+of the final word and checking each label as it is read.  The path
+generators join each walked prefix to a table of tails, so a word costs
+one string concatenation.
 """
 from __future__ import annotations
 
@@ -137,6 +137,8 @@ def check_labeled_dyck(ldp: LabeledDyck) -> LabeledDyck:
     """
     h = k = 0
     word, down_labels = ldp.word, ldp.down_labels
+    if not isinstance(word, str):
+        raise ValueError(f"path word must be a str, got {word!r}")
     n_labels = len(down_labels)
     for s in word:
         if s == "U":
@@ -411,11 +413,6 @@ def perm_to_history(sigma: Perm) -> LaguerreHistory:
     sigma = check_permutation(sigma)
     if not sigma:
         raise ValueError("need a permutation of size at least 1")
-    return LaguerreHistory(*_perm_history(sigma))
-
-
-def _perm_history(sigma: Perm) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The history steps and labels of vertices 1..n-1 of a permutation of 1..n."""
     word = (0, *sigma, 0)
     # the open slots in in-order, each named by the position where its
     # run of values >= v starts; the run holding v is v's slot
@@ -440,7 +437,7 @@ def _perm_history(sigma: Perm) -> tuple[tuple[str, ...], tuple[int, ...]]:
         else:
             del starts[lab - 1]
             steps.append("D")
-    return tuple(steps), tuple(labels)
+    return LaguerreHistory(tuple(steps), tuple(labels))
 
 
 def history_to_perm(lh: LaguerreHistory) -> Perm:
@@ -451,11 +448,7 @@ def history_to_perm(lh: LaguerreHistory) -> Perm:
     >>> history_to_perm(LaguerreHistory(('L1',), (1,)))
     (2, 1)
     """
-    return _history_perm(lh.steps, lh.labels)
-
-
-def _history_perm(steps, labels) -> Perm:
-    """The permutation of a history, checked as the insertions replay."""
+    steps, labels = lh.steps, lh.labels
     if len(steps) != len(labels):
         raise ValueError("one label per step required")
     # the word so far as the segments between its open slots, slot i
@@ -495,18 +488,13 @@ def dyck_to_history(ldp: LabeledDyck) -> LaguerreHistory:
     >>> str(dyck_to_history(LabeledDyck("UUDUUDDDUD", (1, 2, 1, 1, 1))))
     "L',U,D,L'' (1,1,2,1)"
     """
-    return LaguerreHistory(*_dyck_history(ldp.word, ldp.down_labels, ldp.word))
-
-
-def _dyck_history(dyck: str, downs, word: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """
-    The history steps and labels of a labeled Dyck word, checked as they
-    are read; errors name ``word``, the path the word was taken from.
-    """
-    if not dyck:
+    word, downs = ldp.word, ldp.down_labels
+    if not isinstance(word, str):
+        raise ValueError(f"path word must be a str, got {word!r}")
+    if not word:
         raise ValueError("need half-length at least 1")
-    if len(dyck) % 2 or dyck[0] != "U" or dyck[-1] != "D" or \
-            dyck.count("D") != len(downs):
+    if len(word) % 2 or word[0] != "U" or word[-1] != "D" or \
+            word.count("D") != len(downs):
         raise ValueError(f"not a labeled Dyck path: {word!r}, {downs!r}")
     steps: list[str] = []
     labels: list[int] = []
@@ -515,7 +503,7 @@ def _dyck_history(dyck: str, downs, word: str) -> tuple[tuple[str, ...], tuple[i
     waiting: list[int] = []
     k = 0  # next down label; the count check keeps every read in range
     # reading the pair as two one-letter steps builds no string per pair
-    for a, b in zip(dyck[1:-1:2], dyck[2:-1:2]):
+    for a, b in zip(word[1:-1:2], word[2:-1:2]):
         if a == b == "U":
             waiting.append(len(labels))
             steps.append("U")
@@ -549,7 +537,7 @@ def _dyck_history(dyck: str, downs, word: str) -> tuple[tuple[str, ...], tuple[i
     # the last D descends from height 1, so its bound is 1
     if not isinstance(downs[-1], int) or downs[-1] != 1:
         raise ValueError(f"down label {downs[-1]!r} out of range 1..1 in {word!r}")
-    return tuple(steps), tuple(labels)
+    return LaguerreHistory(tuple(steps), tuple(labels))
 
 
 _PAIR = {"U": "UU", "D": "DD", "L1": "UD", "L2": "DU"}
@@ -562,11 +550,7 @@ def history_to_dyck(lh: LaguerreHistory) -> LabeledDyck:
     >>> history_to_dyck(LaguerreHistory((), ())).word
     'UD'
     """
-    return LabeledDyck(*_history_dyck(lh.steps, lh.labels))
-
-
-def _history_dyck(steps, labels) -> tuple[str, tuple[int, ...]]:
-    """The Dyck word and down labels of a history, checked as the steps are read."""
+    steps, labels = lh.steps, lh.labels
     if len(steps) != len(labels):
         raise ValueError("one label per step required")
     downs: list[int] = []
@@ -588,7 +572,7 @@ def _history_dyck(steps, labels) -> tuple[str, tuple[int, ...]]:
     if waiting:
         raise ValueError("history does not return to zero")
     downs.append(1)
-    return "U" + "".join(map(_PAIR.__getitem__, steps)) + "D", tuple(downs)
+    return LabeledDyck("U" + "".join(map(_PAIR.__getitem__, steps)) + "D", tuple(downs))
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +599,8 @@ def _level_blocks(word: str) -> tuple[list[int], str]:
     The level-block sizes and the Dyck word of an André path.  Only the
     level steps are checked here; the Dyck word is checked by its reader.
     """
+    if not isinstance(word, str):
+        raise ValueError(f"path word must be a str, got {word!r}")
     dyck = word.replace("L", "")
     comp = [0] * (len(dyck) // 2 + 1)
     # an L sits at even height iff an even number of U and D steps
@@ -714,67 +700,150 @@ def involution_to_andre(tau: Perm) -> AndrePath:
     The closers' values in position order form a permutation sigma of
     1..k, and the path is ``history_to_dyck(perm_to_history(sigma))``
     with ``comp[i]`` level steps after its 2i-th step, as
-    ``insert_level_steps`` places them.  No history or labeled Dyck path
-    is built: the cores of the three maps pass their steps and labels on.
+    ``insert_level_steps`` places them.  One pass over tau checks it,
+    with ``check_involution``'s rule, rules out 132, and collects sigma
+    and comp.  One loop over sigma then finds each vertex's slot and
+    step as ``perm_to_history`` does and writes the step's pair and down
+    labels as ``history_to_dyck`` does; it checks nothing, since it
+    builds from a checked involution.
 
     >>> involution_to_andre((1, 2, 3)).word
     'LLL'
     >>> str(involution_to_andre((2, 1)))
     'UD (1)'
     """
-    tau = check_involution(tau)
+    tau = tuple(tau)
     n = len(tau)
-    k = 0
-    while k < n and tau[k] > k + 1:
-        k += 1
-    # past the leading openers only closers and fixed points may follow;
+    k = 0  # the openers so far
     # a fixed point joins the block after the closers to its left, and
-    # the closer values in position order are the matching's second half,
-    # a permutation of 1..k
-    comp = [0] * (k + 1)
+    # the closer values in position order are the matching's second
+    # half, a permutation of 1..k
+    comp = [0]
     sigma: list[int] = []
-    for p in range(k + 1, n + 1):
-        v = tau[p - 1]
+    for p, v in enumerate(tau, 1):
+        if not (isinstance(v, int) and 1 <= v <= n and tau[v - 1] == p):
+            raise ValueError(f"not an involution: {tau!r}")
         if v > p:
-            raise ValueError("involution contains 132 in the deletion order")
-        if v == p:
-            comp[len(sigma)] += 1
-        else:
+            if k < p - 1:
+                check_involution(tau)  # a fault further right is named first
+                raise ValueError("involution contains 132 in the deletion order")
+            k += 1
+        elif v < p:
             sigma.append(v)
+            comp.append(0)
+        else:
+            comp[-1] += 1
     if not k:
         return AndrePath("L" * n, ())
-    dyck, downs = _history_dyck(*_perm_history(sigma))
-    return AndrePath(_with_levels(comp, dyck), downs)
+    row = (0, *sigma, 0)
+    starts = [1]  # the open slots, as in perm_to_history
+    pairs = ["U"]
+    downs: list[int] = []
+    waiting: list[int] = []  # the labels of the U steps not yet closed
+    for v in range(1, k):
+        p = row.index(v)
+        lab = bisect(starts, p)
+        if row[p - 1] > v:
+            if row[p + 1] > v:
+                starts.insert(lab, p + 1)
+                pairs.append("UU")
+                waiting.append(lab)
+                continue
+            pairs.append("UD")
+        elif row[p + 1] > v:
+            starts[lab - 1] = p + 1
+            pairs.append("DU")
+        else:
+            del starts[lab - 1]
+            pairs.append("DD")
+            downs.append(lab)
+            lab = waiting.pop()
+        downs.append(lab)
+    pairs.append("D")
+    downs.append(1)
+    return AndrePath(_with_levels(comp, "".join(pairs)), tuple(downs))
 
 
 def andre_to_involution(ap: AndrePath) -> Perm:
     """
-    Inverse of :func:`involution_to_andre`: strip the level steps, then
-    run the cores of ``dyck_to_history`` and ``history_to_perm`` on the
-    Dyck word, that is, read its step pairs as history steps and replay
-    the insertions on the one-line word.  The input is
-    checked on the way: the level steps' heights as the composition is
-    read, the rest inside the cores' loops.  Every error names the path
-    as given, level steps and all.
+    Inverse of :func:`involution_to_andre`.  After the level blocks,
+    the Dyck word's inner step pairs are read once, right to left, as
+    the history steps of vertices k - 1, ..., 1, undoing the insertions.
+
+    Before vertex v is inserted, each open slot will hold the subtree of
+    larger vertices that hangs there; call its in-order word the slot's
+    block.  After the last step one slot is left, with block [k], the
+    forced largest vertex.  Undoing v's step with label lab: a D filled
+    slot lab with v alone, so [v] goes back in as block lab; an L1 (left
+    child only) appends v to block lab, an L2 prepends it, and a U
+    merges blocks lab and lab + 1 around v.  Before vertex 1 one slot is
+    left, and its block is sigma.  Read from the right, a D-D pair comes
+    before its matching U-U pair and carries that pair's label as its
+    second down label, so the pass pushes that label and the U-U pair
+    pops it.  Each label is checked where it is read or popped, against
+    the number of blocks, which is the height plus one.  Every error
+    names the path as given, level steps and all.
 
     >>> andre_to_involution(AndrePath("UD", (1,)))
     (2, 1)
+    >>> andre_to_involution(AndrePath("UUDUUDDDUD", (1, 2, 1, 1, 1)))
+    (10, 8, 9, 6, 7, 4, 5, 2, 3, 1)
     """
     word, downs = ap.word, ap.down_labels
     comp, dyck = _level_blocks(word)
+    n = len(word)
     if not dyck:
         if downs:
             raise ValueError(f"one label per down step required: {word!r}, {downs!r}")
-        return tuple(range(1, len(word) + 1))
-    # the matching's lower-right block: the opener of the j-th closer
-    # is sigma[j]
-    sigma = _history_perm(*_dyck_history(dyck, downs, word))
-    # closers sit after the len(sigma) openers, y_0 fixed points,
-    # closer, y_1 fixed points, closer, ...; every other position is a
-    # fixed point
-    out = list(range(1, len(word) + 1))
-    pos = len(sigma)
-    for j, opener in enumerate(sigma):
+        return tuple(range(1, n + 1))
+    k = len(downs)
+    # k D steps and as many U steps, and nothing else
+    if len(dyck) % 2 or dyck[0] != "U" or dyck[-1] != "D" or \
+            dyck.count("D") != k or dyck.count("U") + k != len(dyck):
+        raise ValueError(f"not a labeled Dyck path: {word!r}, {downs!r}")
+    if len(dyck) != 2 * k:
+        raise ValueError(f"path does not return to zero: {word!r}")
+    rest = list(downs)
+    lab = rest.pop()
+    # the last D descends from height 1, so its bound is 1
+    if not isinstance(lab, int) or lab != 1:
+        raise ValueError(f"down label {lab!r} out of range 1..1 in {word!r}")
+    blocks = [[k]]
+    pending: list[int] = []  # second labels of D-D pairs whose U-U pair is to come
+    v = k
+    for a, b in zip(dyck[-3:0:-2], dyck[-2:0:-2]):
+        v -= 1
+        # the blocks are the open slots after v's step, and its label is
+        # bounded by the slots before it: one fewer for a U, one more
+        # for a D
+        bound = len(blocks)
+        if a == b == "U":
+            if not pending:
+                raise ValueError(f"path dips below zero: {word!r}")
+            lab = pending.pop()
+            bound -= 1
+        else:
+            if a == b:
+                pending.append(rest.pop())
+                bound += 1
+            lab = rest.pop()
+        if not isinstance(lab, int) or not 0 < lab <= bound:
+            raise ValueError(f"down label {lab!r} out of range 1..{bound} in {word!r}")
+        if a == "D":
+            if b == "D":
+                blocks.insert(lab - 1, [v])
+            else:
+                blocks[lab - 1].insert(0, v)
+        elif b == "D":
+            blocks[lab - 1].append(v)
+        else:
+            blocks[lab - 1] += [v, *blocks.pop(lab)]
+    # the opener of the j-th closer is sigma[j]; closers sit after the k
+    # openers, y_0 fixed points, closer, y_1 fixed points, closer, ...;
+    # every other position is a fixed point
+    out = list(range(1, n + 1))
+    pos = k
+    for j, opener in enumerate(blocks[0]):
         pos += comp[j] + 1
         out[pos - 1] = opener
         out[opener - 1] = pos

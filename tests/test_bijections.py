@@ -1,5 +1,5 @@
 import doctest
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -223,8 +223,6 @@ def test_tree_matches_recursive_oracle():
 
 
 def test_path_validators_match_multipass_oracle():
-    from itertools import product
-
     cases = 0
     for length in range(0, 7):
         for word in map("".join, product("UDLX", repeat=length)):
@@ -252,8 +250,6 @@ _JUNK_LABELS = (0, 1, 2, 3, 1.0, True, "1")
 
 
 def test_dyck_to_history_rejects_what_the_validator_rejects():
-    from itertools import product
-
     words = [w for n in range(0, 5) for w in map("".join, product("UDL", repeat=n))]
     words += list(iter_dyck_words(3))
     cases = 0
@@ -272,8 +268,6 @@ def test_dyck_to_history_rejects_what_the_validator_rejects():
 
 
 def test_history_maps_reject_what_the_validator_rejects():
-    from itertools import product
-
     # (longest history, labels, label count minus step count)
     blocks = ((4, range(4), (0,)), (3, _JUNK_LABELS, (0,)), (2, _JUNK_LABELS, (-1, 1)))
     cases = 0
@@ -302,8 +296,6 @@ def test_132_guard_matches_reference():
 
 
 def test_composites_match_oracle_chain():
-    from itertools import product
-
     for n in range(0, 10):
         for tau in generate_involutions(n):
             assert _outcome(involution_to_andre, tau) == \
@@ -324,6 +316,83 @@ def test_composites_match_oracle_chain():
             tau = andre_to_involution(ap)
             assert check_involution(tau) == tau == oracle_andre_to_involution(ap)
             assert involution_to_andre(tau) == oracle_involution_to_andre(tau) == ap
+
+
+def _labels_around_bounds(word):
+    # every down label from 0 to one past its bound ceil(h/2)
+    ranges, h = [], 0
+    for s in word:
+        h += (s == "U") - (s == "D")
+        if s == "D":
+            ranges.append(range(0, (h + 2) // 2 + 2))
+    return product(*ranges)
+
+
+def chain_involution_to_andre(tau):
+    """The public maps composed: closers' values, then history, then Dyck path."""
+    tau = check_involution(tau)
+    if contains_fast(tau, (1, 3, 2), Mode.I):
+        raise ValueError("involution contains 132 in the deletion order")
+    sigma = tuple(v for p, v in enumerate(tau, 1) if v < p)
+    if not sigma:
+        return AndrePath("L" * len(tau), ())
+    comp = [0] * (len(sigma) + 1)
+    closed = 0
+    for p, v in enumerate(tau, 1):
+        closed += v < p
+        comp[closed] += v == p
+    return insert_level_steps(tuple(comp), history_to_dyck(perm_to_history(sigma)))
+
+
+def test_single_passes_match_the_public_map_chain():
+    # andre_to_involution reads its pairs once, right to left, and
+    # involution_to_andre writes them in the loop that reads sigma; both
+    # against the chain of public maps, in value or ValueError
+    cases = 0
+    for half in range(0, 6):
+        for word in iter_dyck_words(half):
+            for labels in _labels_around_bounds(word):
+                cases += 1
+                ap = AndrePath(word, labels)
+                assert _outcome(andre_to_involution, ap) == \
+                    _outcome(oracle_andre_to_involution, ap), ap
+                if half > 3:
+                    continue
+                # one or two level steps at each place, at even or odd height
+                for i in range(len(word) + 1):
+                    for block in ("L", "LL"):
+                        ap = AndrePath(word[:i] + block + word[i:], labels)
+                        assert _outcome(andre_to_involution, ap) == \
+                            _outcome(oracle_andre_to_involution, ap), ap
+    assert cases > 10_000
+    # junk labels at both labels of every D-D pair, which the junk words
+    # of test_composites_match_oracle_chain are too short to reach
+    for half in range(2, 6):
+        for ldp in iter_labeled_dyck(half):
+            word = ldp.word
+            downs = [i for i, s in enumerate(word) if s == "D"]
+            for j, i in enumerate(downs[:-1]):
+                if i % 2 and word[i + 1] == "D":  # the first D of an inner pair
+                    for at, junk in product((j, j + 1), (1.0, True, "1", 0)):
+                        labels = list(ldp.down_labels)
+                        labels[at] = junk
+                        ap = AndrePath(word, tuple(labels))
+                        assert _outcome(andre_to_involution, ap) == \
+                            _outcome(oracle_andre_to_involution, ap), ap
+    for n in range(0, 11):
+        for tau in generate_involutions(n):
+            assert _outcome(involution_to_andre, tau) == \
+                _outcome(chain_involution_to_andre, tau), tau
+
+
+@pytest.mark.parametrize("word", [["U", "D"], ("U", "D"), None])
+def test_a_path_word_must_be_a_str(word):
+    for call in (check_labeled_dyck, dyck_to_history):
+        with pytest.raises(ValueError, match="must be a str"):
+            call(LabeledDyck(word, (1,)))
+    for call in (check_andre, strip_level_steps, andre_to_involution):
+        with pytest.raises(ValueError, match="must be a str"):
+            call(AndrePath(word, (1,)))
 
 
 def test_dyck_word_is_read_off_the_child_slots():
@@ -429,8 +498,6 @@ def _obeys(word, levels):
 def test_motzkin_words_are_every_legal_word_in_lexicographic_order(levels):
     # the brute-force oracle: every word over D, L, U that obeys the
     # mode's rules, in sorted order
-    from itertools import product
-
     for n in range(11):
         want = [w for w in map("".join, product("DLU", repeat=n)) if _obeys(w, levels)]
         assert list(iter_motzkin_words(n, levels)) == want, (n, levels)

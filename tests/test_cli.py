@@ -319,6 +319,22 @@ def test_bijection_errors(capsys):
     assert status == 2 and "out of range 1..1 in 'LUDL'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--omega", "132"], "involution contains 132 in the deletion order"),
+    (["--omega-inv", "ULD", "--labels", "1"], "level step at odd height in 'ULD'"),
+    (["--omega-inv", "UDX", "--labels", "1"], "not a labeled Dyck path: 'UDX', (1,)"),
+    (["--omega-inv", "UD", "--labels", "1,2"], "not a labeled Dyck path: 'UD', (1, 2)"),
+    (["--omega-inv", "UUDD", "--labels", "2,1"], "down label 2 out of range 1..1 in 'UUDD'"),
+    (["--omega-inv", "UUDDUD", "--labels", "1,1,3"],
+     "down label 3 out of range 1..1 in 'UUDDUD'"),
+    # the second label of a D-D pair, bounded by the height it descends from
+    (["--omega-inv", "UUUDDD", "--labels", "1,2,1"],
+     "down label 2 out of range 1..1 in 'UUUDDD'"),
+])
+def test_bijection_names_the_one_fault(capsys, argv, message):
+    assert run(capsys, "bijection", *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("labels", ["1,,1", ",1,1,", ",", "1,1,"])
 def test_bijection_rejects_empty_label_fields(capsys, labels):
     status, out, err = run(capsys, "bijection", "--omega-inv", "UDUD",
